@@ -34,10 +34,6 @@
 //                     to FILE every N ms while the run is in progress
 //                     (WAL/range/version-GC counters derived incrementally
 //                     from the rings; implies --obs)
-//   --lock IMPL       lock implementation for the B+Tree version latch and
-//                     the row TID-word acquire: "cas" (plain CAS loops, the
-//                     default) or "optiql" (MCS queue locks with optimistic
-//                     reads, DESIGN.md §13)
 //   --http-port N     serve the live observability plane on 127.0.0.1:N
 //                     (GET /metrics /vars /healthz /trace?ms=N /config,
 //                     POST /config); implies --obs. 0 (default) = off: no
@@ -340,16 +336,6 @@ inline BenchEnv ParseEnv(int argc, char** argv) {
   env.obs_sample =
       static_cast<uint32_t>(env.cfg.GetInt("obs-sample", env.obs_sample));
   env.obs_ring = static_cast<uint32_t>(env.cfg.GetInt("obs-ring", env.obs_ring));
-  const std::string lock_name = env.cfg.GetString("lock", "");
-  if (!lock_name.empty()) {
-    sync::LockImpl impl;
-    if (sync::ParseLockImpl(lock_name, &impl)) {
-      sync::SetLockImpl(impl);  // before any worker or latch exists
-    } else {
-      std::fprintf(stderr, "warning: unknown --lock '%s' (want cas|optiql)\n",
-                   lock_name.c_str());
-    }
-  }
 
   if (env.obs) {
     obs::ObsOptions oo;
@@ -547,15 +533,6 @@ class YcsbBench {
     return RunWith(cc.get(), threads_override);
   }
 
-  /// Pin the lock implementation for subsequent runs (threaded through
-  /// RunOptions so the switch happens at the runner's safe point, before
-  /// workers start). Used by the cas/optiql A/B; without this the
-  /// process-global `--lock` selection stays in force.
-  void PinLockImpl(sync::LockImpl impl) {
-    pin_lock_impl_ = true;
-    lock_impl_ = impl;
-  }
-
   /// Non-owning variant: the caller keeps the protocol alive, e.g. to read
   /// range telemetry after the measured run.
   RunResult RunWith(ConcurrencyControl* cc, uint32_t threads_override = 0) {
@@ -563,8 +540,6 @@ class YcsbBench {
     run.num_threads = threads_override == 0 ? env_.threads : threads_override;
     run.txns_per_thread = env_.txns_per_thread;
     run.warmup_txns_per_thread = env_.warmup;
-    run.set_lock_impl = pin_lock_impl_;
-    run.lock_impl = lock_impl_;
     std::unique_ptr<LogManager> log = OpenRunLog(env_, run.num_threads);
     run.log = log.get();
     LiveRangeScope ranges(cc);  // /vars heatmap source for this run
@@ -583,8 +558,6 @@ class YcsbBench {
   YcsbOptions opts_;
   Database db_;
   std::unique_ptr<YcsbWorkload> workload_;
-  bool pin_lock_impl_ = false;
-  sync::LockImpl lock_impl_ = sync::LockImpl::kCas;
 };
 
 /// One modified-TPC-C measurement; reloads the database per run so every

@@ -20,14 +20,6 @@
 //                          churns at quick scale; --ab-reps (default 3) runs
 //                          alternating repetitions and reports both layouts
 //                          from the rep with the median paired tps delta.
-//   --lock-ab              cas vs optiql lock-implementation A/B on the same
-//                          skew + uniform cells (fixed static layout, same
-//                          priming/alternation/median-paired-delta protocol
-//                          as --ab). Reports lock_fail and ring_lost abort
-//                          counts per arm: under skew the queued optiql
-//                          acquire should convert lock-fail aborts into
-//                          short waits; on uniform both arms must stay at
-//                          point-tps parity.
 
 #include <algorithm>
 #include <vector>
@@ -220,148 +212,11 @@ int AdaptiveAb(const BenchEnv& env) {
   return guard.Failed() ? 1 : 0;
 }
 
-/// cas vs optiql lock-implementation A/B: same cells and pairing protocol as
-/// AdaptiveAb. The optiql arm now runs the full queued-contention stack: the
-/// MCS latch and row queue as before, plus combining registration on rings
-/// the tuner promotes and telemetry-driven adaptive ring capacity
-/// (DESIGN.md §15). The key-space grid stays frozen (slices_per_range=1, so
-/// the tuner can never split or merge) — both arms keep the identical range
-/// layout, and the delta is purely the queued lock paths plus ring
-/// combining/capacity.
-///
-/// The interesting cell is skew: paced validators hold sorted row locks
-/// across fiber yields, so competing validators burn their bounded CAS
-/// retries against a holder that merely hasn't been rescheduled and abort
-/// with lock_fail — and every retry re-registers ranges, feeding ring churn.
-/// The optiql arm queues those validators (bounded, FIFO) instead, and its
-/// hot ring grows past the observed validation window rather than bleeding
-/// ring_lost aborts. Uniform is the control cell: near-zero contention,
-/// point-tps must stay at parity.
-int LockAb(const BenchEnv& env) {
-  PrintBanner("Lock implementation A/B: cas vs optiql ROCC",
-              env.Describe());
-  const double ab_theta = env.cfg.GetDouble("ab-theta", 0.95);
-  const uint32_t ring = static_cast<uint32_t>(env.cfg.GetInt("ab-ring", 32));
-  const uint32_t ranges =
-      static_cast<uint32_t>(env.cfg.GetInt("ab-ranges", 64));
-  const int reps = static_cast<int>(env.cfg.GetInt("ab-reps", 3));
-  // Per-pass registration delta that promotes a ring to combining in the
-  // optiql arm (0 would disable promotion).
-  const uint64_t combining_reg =
-      static_cast<uint64_t>(env.cfg.GetInt("ab-combining-reg", 256));
-  YcsbOptions opts;
-  opts.theta = ab_theta;
-  opts.scan_theta = env.cfg.GetDouble("ab-scan-theta", 0.0);
-  opts.scan_length = static_cast<uint64_t>(
-      env.cfg.GetInt("scan_len", static_cast<int64_t>(opts.scan_length)));
-  YcsbBench bench(env, opts);
-
-  std::vector<std::string> headers = {
-      "cell",      "lock",     "total_tps",
-      "point_tps", "scan_tps", "scan_abort_rate",
-      AbortHeader(AbortReason::kLockFail),
-      AbortHeader(AbortReason::kRingLost),
-      "ring_resizes"};
-  for (const std::string& h : ContentionHeaders()) headers.push_back(h);
-  ReportTable table(std::move(headers));
-
-  GiveUpGuard guard;
-  struct Cell {
-    const char* name;
-    double theta;
-  };
-  for (const Cell& cell : {Cell{"skew", ab_theta}, Cell{"uniform", 0.0}}) {
-    YcsbOptions cur = bench.options();
-    cur.theta = cell.theta;
-    bench.Reconfigure(cur);
-    // Discarded priming run (allocator/page-fault warm-up), same rationale
-    // as AdaptiveAb.
-    {
-      RoccOptions ropts;
-      ropts.tables = bench.workload().RangeConfigs(ranges, ring);
-      ropts.default_ring_capacity = ring;
-      auto prime = std::make_unique<Rocc>(bench.db(), env.threads, ropts);
-      (void)bench.RunWith(prime.get());
-    }
-    const sync::LockImpl impls[2] = {sync::LockImpl::kCas,
-                                     sync::LockImpl::kOptiql};
-    struct Measured {
-      RunResult r;
-      uint64_t resizes = 0;
-    };
-    std::vector<Measured> runs[2];  // [cas, optiql]
-    for (int rep = 0; rep < reps; rep++) {
-      for (int arm = 0; arm < 2; arm++) {
-        RoccOptions ropts;
-        ropts.tables = bench.workload().RangeConfigs(ranges, ring);
-        ropts.default_ring_capacity = ring;
-        if (impls[arm] != sync::LockImpl::kCas) {
-          // Full queued stack for the optiql arm: the frozen grid
-          // (slices_per_range=1) keeps the layout identical to the cas arm
-          // while the tuner still drives ring growth/shrink and combining
-          // promotion from the same piggybacked telemetry.
-          ropts.tuner.enabled = true;
-          ropts.tuner.slices_per_range = 1;
-          ropts.tuner.adaptive_ring = true;
-          ropts.tuner.combining_reg_threshold = combining_reg;
-        }
-        auto cc = std::make_unique<Rocc>(bench.db(), env.threads, ropts);
-        bench.PinLockImpl(impls[arm]);
-        const RunResult r = bench.RunWith(cc.get());
-        guard.Check(r, std::string(cell.name) + "/" +
-                           sync::LockImplName(impls[arm]) + " rep " +
-                           F(static_cast<uint64_t>(rep)));
-        const uint64_t resizes =
-            cc->tuner() != nullptr ? cc->tuner()->resizes() : 0;
-        std::printf("  [%s rep %d] %-6s total_tps=%.1f lock_fail=%llu "
-                    "ring_lost=%llu resizes=%llu attempts=%.3f\n",
-                    cell.name, rep, sync::LockImplName(impls[arm]),
-                    r.Throughput(),
-                    static_cast<unsigned long long>(r.stats.abort_lock_fail),
-                    static_cast<unsigned long long>(r.stats.abort_ring_lost),
-                    static_cast<unsigned long long>(resizes),
-                    r.stats.attempts_per_commit.Mean());
-        runs[arm].push_back({r, resizes});
-      }
-    }
-    // Median paired-delta rep selection, as in AdaptiveAb: runs within a rep
-    // share ambient-load conditions, so the pairing cancels host drift.
-    std::vector<size_t> order(runs[0].size());
-    for (size_t i = 0; i < order.size(); i++) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return runs[1][a].r.Throughput() - runs[0][a].r.Throughput() <
-             runs[1][b].r.Throughput() - runs[0][b].r.Throughput();
-    });
-    const size_t median_rep = order[order.size() / 2];
-    for (int arm = 0; arm < 2; arm++) {
-      const Measured& m = runs[arm][median_rep];
-      std::vector<std::string> row = {
-          cell.name,
-          sync::LockImplName(impls[arm]),
-          F(m.r.Throughput(), 1),
-          F(PointThroughput(m.r), 1),
-          F(m.r.ScanThroughput(), 1),
-          F(m.r.stats.ScanAbortRate(), 4),
-          F(m.r.stats.abort_lock_fail),
-          F(m.r.stats.abort_ring_lost),
-          F(m.resizes)};
-      for (std::string& c : ContentionCells(m.r.stats)) row.push_back(std::move(c));
-      table.AddRow(std::move(row));
-    }
-  }
-  bench.PinLockImpl(sync::LockImpl::kCas);
-  sync::SetLockImpl(sync::LockImpl::kCas);
-  std::printf("\n");
-  Emit(env, table, "lock_ab");
-  return guard.Failed() ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchEnv env = ParseEnv(argc, argv);
   if (env.cfg.Has("sweep-ranges")) return SweepRanges(env);
-  if (env.cfg.Has("lock-ab")) return LockAb(env);
   if (env.cfg.Has("ab")) return AdaptiveAb(env);
 
   PrintBanner("Fig. 5: hybrid YCSB scan throughput & latency vs scan length",

@@ -10,17 +10,11 @@
 #include "harness/contention.h"
 #include "log/log_manager.h"
 #include "mv/version_store.h"
-#include "sync/optiql.h"
 
 namespace rocc {
 
 namespace {
 constexpr int kLockSpins = 128;
-// Budget for the queued (optiql) acquire: the FIFO queue removes the CAS
-// storm, so a head position is worth more attempts than a free-for-all spin —
-// but the budget stays bounded because the sorted lock phase holds earlier
-// write-set locks while waiting (DESIGN.md §13).
-constexpr int kQueuedLockAttempts = 256;
 
 uint64_t MakeTxnId(uint32_t thread_id, uint64_t seq) {
   return (static_cast<uint64_t>(thread_id) << 48) | (seq & ((1ULL << 48) - 1));
@@ -389,7 +383,6 @@ bool OccBase::LockWriteSet(TxnDescriptor* t) {
     return a < b;  // stable: chronological within a key
   });
 
-  bool holds_locks = false;
   for (size_t oi = 0; oi < order.size(); oi++) {
     WriteEntry& we = ws[order[oi]];
     if (oi > 0) {
@@ -407,31 +400,25 @@ bool OccBase::LockWriteSet(TxnDescriptor* t) {
       if (st.ok()) {
         we.row = placeholder;
         we.locked = true;
-        holds_locks = true;
         t->BindRow(static_cast<int32_t>(order[oi]), placeholder);
         continue;
       }
       // Key already indexed: resurrect an unlocked tombstone, else conflict.
+      // The row must still be indexed once locked: an aborter or a deleting
+      // committer may have unlinked it between our Get and TryLock, and a
+      // resurrected unindexed row would commit a key no lookup can find.
       Row* existing = idx->Get(we.key);
       if (existing == nullptr || !existing->TryLock()) return false;
-      if (!existing->IsAbsent()) {
+      if (!existing->IsAbsent() || idx->Get(we.key) != existing) {
         existing->Unlock();
-        return false;  // live duplicate
+        return false;  // live duplicate, or unlinked under us
       }
       we.row = existing;
       we.locked = true;
-      holds_locks = true;
       t->BindRow(static_cast<int32_t>(order[oi]), existing);
     } else {
-      const int budget =
-          sync::QueueCapable() ? kQueuedLockAttempts : kLockSpins;
-      // A waiter that holds no earlier write-set locks blocks nobody, so it
-      // rides a stripe queue out even under a protected quiesce.
-      if (!we.row->LockContended(budget, /*cancelable=*/holds_locks)) {
-        return false;
-      }
+      if (!we.row->LockWithSpin(kLockSpins)) return false;
       we.locked = true;
-      holds_locks = true;
       if (we.row->IsAbsent()) return false;  // deleted under us; cleanup unlocks
     }
   }
@@ -444,14 +431,18 @@ void OccBase::UnlockWriteSet(TxnDescriptor* t) {
     we.locked = false;
     if (we.kind == WriteEntry::Kind::kInsert &&
         TidWord::Version(we.row->tid.load(std::memory_order_relaxed)) == 0) {
-      // Fresh placeholder: hide it, then unlink it. A racing reader that
-      // still holds the pointer sees absent+unlocked and skips it. A
+      // Fresh placeholder: unlink it while still locked, then unlock it. A
+      // concurrent inserter of the key cannot resurrect a locked row, so the
+      // key-based Remove can only unlink this placeholder; a racing reader
+      // that still holds the pointer sees absent+unlocked and skips it. A
       // RESURRECTED tombstone (version > 0) is instead restored by a plain
       // unlock — with versions on its chain must stay index-reachable for
       // older snapshots, and either way its delete version is not ours to
       // erase.
-      we.row->tid.store(TidWord::kAbsentBit, std::memory_order_release);
+      we.row->tid.store(TidWord::kAbsentBit | TidWord::kLockBit,
+                        std::memory_order_release);
       db_->GetIndex(we.table_id)->Remove(we.key);
+      we.row->tid.store(TidWord::kAbsentBit, std::memory_order_release);
     } else {
       we.row->Unlock();
     }

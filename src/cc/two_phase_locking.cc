@@ -83,13 +83,15 @@ Status TplNoWait::Insert(TxnDescriptor* t, uint32_t table_id, uint64_t key,
     // The key is already indexed. A live row — or one locked by another
     // transaction — is a no-wait conflict; an unlocked tombstone is
     // resurrected in place (with versions on, deleted rows stay indexed
-    // until GC, so this path is the normal reinsert route).
+    // until GC, so this path is the normal reinsert route). Once locked it
+    // must still be indexed: it may have been unlinked between Get and
+    // TryLock (see OccBase::LockWriteSet).
     Row* existing = idx->Get(key);
     if (existing == nullptr || !existing->TryLock()) {
       NoteAbortCause(t->thread_id, AbortReason::kLockFail);
       return Status::Aborted("duplicate key");
     }
-    if (!existing->IsAbsent()) {
+    if (!existing->IsAbsent() || idx->Get(key) != existing) {
       existing->Unlock();
       NoteAbortCause(t->thread_id, AbortReason::kLockFail);
       return Status::Aborted("duplicate key");
@@ -180,12 +182,16 @@ void TplNoWait::ReleaseAll(TxnDescriptor* t, uint64_t commit_ts, bool committed)
       const int wi = t->FindWriteByRow(row);
       if (wi >= 0 && t->write_set[wi].kind == WriteEntry::Kind::kInsert &&
           TidWord::Version(row->tid.load(std::memory_order_relaxed)) == 0) {
-        // Fresh placeholder this transaction created: hide and unlink it. A
-        // resurrected tombstone (version > 0) instead falls through to a
-        // plain unlock, restoring the delete marker — and, with versions
-        // on, keeping its chain reachable for older snapshots.
-        row->tid.store(TidWord::kAbsentBit, std::memory_order_release);
+        // Fresh placeholder this transaction created: unlink it while still
+        // locked, then unlock it, so no concurrent inserter can resurrect
+        // it in between (see OccBase::UnlockWriteSet). A resurrected
+        // tombstone (version > 0) instead falls through to a plain unlock,
+        // restoring the delete marker — and, with versions on, keeping its
+        // chain reachable for older snapshots.
+        row->tid.store(TidWord::kAbsentBit | TidWord::kLockBit,
+                       std::memory_order_release);
         db_->GetIndex(t->write_set[wi].table_id)->Remove(t->write_set[wi].key);
+        row->tid.store(TidWord::kAbsentBit, std::memory_order_release);
       } else {
         row->Unlock();
       }

@@ -22,9 +22,13 @@ namespace rocc {
 /// points (after every operation / every few scanned records — see
 /// harness/coop_cc.h). Execution becomes a round-robin interleaving at
 /// operation granularity: a discrete-time simulation of parallel hardware.
-/// Because switches happen only at yield points and commits contain none,
-/// commit sections are atomic in fiber time; all schemes see identical
-/// interleavings, so relative comparisons are meaningful.
+/// Switches happen only at explicit yield points, so a run is deterministic
+/// for a given seed and all schemes see identical interleavings. Commits do
+/// contain yields: validation pacing yields every few validation steps while
+/// the write set's row locks are held (OccBase::PaceValidation), and a
+/// waiter for a row lock, a stable row read, or a node latch yields on every
+/// backoff (SpinBackoff), so a holder suspended mid-commit always gets to run
+/// and release.
 ///
 /// x86-64 uses a minimal callee-saved-register switch; other architectures
 /// fall back to ucontext.

@@ -2,10 +2,47 @@
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 
 #include "common/cacheline.h"
+#include "common/fiber.h"
 
 namespace rocc {
+
+/// Pause + capped exponential backoff for bounded and unbounded spin loops
+/// (row-lock acquires, stable reads, B+Tree node latches).
+///
+/// Inside a fiber every Pause() switches fibers: a lock holder may be a fiber
+/// suspended at a yield point on this same OS thread (validation pacing
+/// yields while the sorted row locks are held), and spinning cannot let it
+/// finish. Bounded loops keep their attempt budget either way, so a try-lock
+/// still gives up and aborts; it just spends the budget letting the holder
+/// run. On a real thread each Pause() burns an exponentially growing, capped
+/// number of pause instructions; `yield` additionally hands the core to the
+/// OS scheduler once the cap is reached, so a preempted holder can run.
+class SpinBackoff {
+ public:
+  explicit SpinBackoff(uint32_t cap_spins = 512, bool yield = true)
+      : cap_(cap_spins), yield_(yield) {}
+
+  void Pause() {
+    if (FiberScheduler::InFiber()) {
+      FiberScheduler::YieldFiber();
+      return;
+    }
+    for (uint32_t i = 0; i < spins_; i++) CpuRelax();
+    if (spins_ < cap_) {
+      spins_ <<= 1;
+    } else if (yield_) {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  uint32_t spins_ = 1;
+  const uint32_t cap_;
+  const bool yield_;
+};
 
 /// Test-and-test-and-set spin latch.
 ///

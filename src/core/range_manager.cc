@@ -176,7 +176,6 @@ bool RangeManager::Resize(uint32_t range_id, uint32_t new_capacity,
       victim->num_slices, new_capacity, victim->ring->Version());
   repl->prev_rings.push_back(victim->ring);
   repl->created_epoch = publish_epoch;
-  repl->ring->SetCombining(victim->ring->combining());
 
   // Carry counters and tuner baselines so telemetry stays monotone per key
   // span and the tuner's deltas stay seamless across the swap; the high
@@ -237,7 +236,6 @@ RangeTelemetry RangeManager::Telemetry(size_t top_n) const {
     row.ring_capacity = lr->ring->capacity();
     row.ring_high_water = lr->stats.ring_high_water.load(std::memory_order_relaxed);
     row.ring_resizes = lr->stats.ring_resizes.load(std::memory_order_relaxed);
-    row.combining = lr->ring->combining();
     for (size_t c = 0; c < kNumAbortCauses; c++) {
       row.abort_by_reason[c] =
           lr->stats.abort_by_reason[c].load(std::memory_order_relaxed);

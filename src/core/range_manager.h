@@ -106,7 +106,6 @@ struct RangeTelemetry {
     uint32_t ring_capacity;
     uint64_t ring_high_water;
     uint64_t ring_resizes;
-    bool combining;
     /// range_id × AbortReason heatmap row (kAbortCauses order).
     uint64_t abort_by_reason[kNumAbortCauses];
   };

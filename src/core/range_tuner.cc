@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "harness/knobs.h"
-#include "sync/optiql.h"
 #include "txn/txn.h"
 
 namespace rocc {
@@ -101,22 +100,6 @@ bool RangeTuner::RunPass(uint64_t min_score) {
       lr->window_registrations += d_reg[rid];
       lr->window_aborts += d_lost[rid] + d_conf[rid];
       merge_eval_accum_[mi] += d_reg[rid];
-    }
-
-    // Combining promotion: a ring sustaining a heavy registration rate is
-    // the counter CAS storm the combining path exists for — arm it; disarm
-    // with hysteresis when the rate collapses (skew moved on). Flag-only, no
-    // publish: combining and direct registrants interoperate.
-    if (opts_.combining_reg_threshold != 0 && sync::QueueCapable()) {
-      for (uint32_t rid = 0; rid < n; rid++) {
-        TxnRing* ring = cur->range(rid)->ring.get();
-        if (d_reg[rid] >= opts_.combining_reg_threshold) {
-          ring->SetCombining(true);
-        } else if (ring->combining() &&
-                   d_reg[rid] * 4 < opts_.combining_reg_threshold) {
-          ring->SetCombining(false);
-        }
-      }
     }
 
     // Split the hottest eligible range. ring_lost dominates the score: it

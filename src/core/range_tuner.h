@@ -41,10 +41,6 @@ struct RangeTunerOptions {
   bool adaptive_ring = false;
   /// Upper bound for tuner-grown rings (slots).
   uint32_t max_ring_capacity = 1u << 20;
-  /// Per-pass registration delta past which a range's ring is promoted to
-  /// combining registration (demoted below a quarter of it). 0 disables
-  /// promotion; promotion also requires a queue-capable --lock mode.
-  uint64_t combining_reg_threshold = 0;
 };
 
 /// Telemetry-driven hot-range refinement.

@@ -1,7 +1,6 @@
 #include "core/txn_ring.h"
 
 #include "common/cacheline.h"
-#include "sync/optiql.h"
 
 namespace rocc {
 
@@ -13,7 +12,8 @@ TxnRing::TxnRing(uint32_t capacity, uint64_t base)
 
 TxnRing::~TxnRing() = default;
 
-void TxnRing::PublishSlot(uint64_t seq, TxnDescriptor* t) {
+uint64_t TxnRing::Register(TxnDescriptor* t) {
+  const uint64_t seq = counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
   Slot& slot = slots_[seq % capacity_];
 
   // Claim the slot with a CAS on the sequence tag so two registrants a whole
@@ -29,7 +29,7 @@ void TxnRing::PublishSlot(uint64_t seq, TxnDescriptor* t) {
       // A registrant from a later lap already owns this slot; our entry is
       // obsolete before it was ever published. Validators that need `seq`
       // will see the mismatch and abort conservatively.
-      return;
+      return seq;
     }
     if (slot.seq.compare_exchange_weak(cur, kWriting, std::memory_order_acq_rel)) {
       break;
@@ -37,107 +37,7 @@ void TxnRing::PublishSlot(uint64_t seq, TxnDescriptor* t) {
   }
   slot.txn.store(t, std::memory_order_release);
   slot.seq.store(seq, std::memory_order_release);
-}
-
-uint64_t TxnRing::RegisterDirect(TxnDescriptor* t) {
-  const uint64_t seq = counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  PublishSlot(seq, t);
   return seq;
-}
-
-uint64_t TxnRing::Register(TxnDescriptor* t) {
-  if (combining_.load(std::memory_order_relaxed)) {
-    uint64_t seq;
-    if (RegisterCombining(t, &seq)) return seq;
-  }
-  return RegisterDirect(t);
-}
-
-bool TxnRing::RegisterCombining(TxnDescriptor* t, uint64_t* out_seq) {
-  using sync::QNode;
-  const uint16_t qid = sync::AcquireQNode();
-  if (qid == 0) return false;  // pool exhausted: single-CAS path
-  QNode* me = sync::QNodeForId(qid);
-  me->ctx.store(t, std::memory_order_relaxed);
-  me->result.store(0, std::memory_order_relaxed);
-
-  const uint16_t pred = comb_tail_.exchange(qid, std::memory_order_acq_rel);
-  sync::SpinBackoff backoff(/*cap_spins=*/256, /*yield=*/true);
-  if (pred != 0) {
-    sync::QNodeForId(pred)->next.store(qid, std::memory_order_release);
-    // Local spin on our own line; the combiner publishes our slot and parks
-    // the assigned sequence in `result` before granting.
-    uint8_t g;
-    while ((g = me->granted.load(std::memory_order_acquire)) == QNode::kWaiting) {
-      backoff.Pause();
-    }
-    if (g == QNode::kGranted) {
-      *out_seq = me->result.load(std::memory_order_acquire);
-      sync::ReleaseQNode(qid);
-      return true;
-    }
-    // kCombinerHandoff: the previous combiner filled its batch and handed
-    // the head role to us. Fall through and combine from our own node.
-  }
-
-  // Combiner: capture the linked batch (ourselves first). All reads of a
-  // member's ctx/next happen BEFORE any grant, so granting a member is the
-  // last touch of its node.
-  TxnDescriptor* batch_txn[kMaxCombine];
-  uint16_t batch_id[kMaxCombine];
-  uint32_t k = 0;
-  batch_txn[k] = t;
-  batch_id[k] = qid;
-  k++;
-  uint16_t last = qid;
-  QNode* last_n = me;
-  uint16_t handoff = 0;
-  for (;;) {
-    uint16_t nx = last_n->next.load(std::memory_order_acquire);
-    if (nx == 0) {
-      uint16_t expect = last;
-      if (comb_tail_.compare_exchange_strong(expect, 0,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-        break;  // queue closed behind us: the batch is complete
-      }
-      // A registrant swapped in as tail and is about to link; wait it out.
-      while ((nx = last_n->next.load(std::memory_order_acquire)) == 0) {
-        backoff.Pause();
-      }
-    }
-    if (k == kMaxCombine) {
-      handoff = nx;  // batch full: the successor becomes the next combiner
-      break;
-    }
-    QNode* n = sync::QNodeForId(nx);
-    batch_txn[k] = static_cast<TxnDescriptor*>(n->ctx.load(std::memory_order_acquire));
-    batch_id[k] = nx;
-    k++;
-    last = nx;
-    last_n = n;
-  }
-
-  // ONE counter advance covers the whole batch; each member still gets a
-  // unique sequence and its own slot publish, so per-slot semantics (and the
-  // one-registration-one-version-bump invariant) are identical to the direct
-  // path — validators cannot tell the difference.
-  const uint64_t first_seq = counter_.fetch_add(k, std::memory_order_acq_rel) + 1;
-  for (uint32_t i = 0; i < k; i++) {
-    PublishSlot(first_seq + i, batch_txn[i]);
-  }
-  *out_seq = first_seq;
-  for (uint32_t i = 1; i < k; i++) {
-    QNode* n = sync::QNodeForId(batch_id[i]);
-    n->result.store(first_seq + i, std::memory_order_release);
-    n->granted.store(QNode::kGranted, std::memory_order_release);
-  }
-  if (handoff != 0) {
-    sync::QNodeForId(handoff)->granted.store(QNode::kCombinerHandoff,
-                                             std::memory_order_release);
-  }
-  sync::ReleaseQNode(qid);
-  return true;
 }
 
 TxnDescriptor* TxnRing::Get(uint64_t seq) const {

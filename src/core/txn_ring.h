@@ -25,19 +25,11 @@ namespace rocc {
 ///    depends on the ring being large enough — sizing it is purely a
 ///    performance trade-off (paper §IV, Fig. 11).
 ///
-/// Two extensions for hot rings (DESIGN.md §15):
-///  - A ring may start at a nonzero `base` sequence. The adaptive resize path
-///    (RangeManager::Resize) seeds a replacement ring at the retired ring's
-///    version, so the range's version keeps advancing monotonically across
-///    the swap; sequences at or below `base` belong to the predecessor ring
-///    and `Get` reports them as lost here.
-///  - When `SetCombining(true)` is armed (tuner promotion of a contended
-///    ring), registrants enqueue MCS-style on the ring's combining queue and
-///    the queue head publishes the whole waiting batch with ONE counter
-///    fetch_add of k — each registration still gets a unique sequence and
-///    its own slot publish, so "one registration = one version bump" is
-///    preserved per slot while N cache-line ping-pongs on the counter
-///    collapse into one owner-side burst.
+/// A ring may start at a nonzero `base` sequence. The adaptive resize path
+/// (RangeManager::Resize, DESIGN.md §15) seeds a replacement ring at the
+/// retired ring's version, so the range's version keeps advancing
+/// monotonically across the swap; sequences at or below `base` belong to the
+/// predecessor ring and `Get` reports them as lost here.
 ///
 /// Descriptor lifetime is guaranteed by epoch-based reclamation: a validator
 /// only dereferences registrations sequenced after its own transaction began
@@ -66,14 +58,6 @@ class TxnRing {
 
   uint32_t capacity() const { return capacity_; }
 
-  /// Arm/disarm the combining registration path. Any-time safe: combining
-  /// and direct registrants interoperate through the same slot-claim
-  /// protocol, so the switch needs no quiescing.
-  void SetCombining(bool on) {
-    combining_.store(on, std::memory_order_relaxed);
-  }
-  bool combining() const { return combining_.load(std::memory_order_relaxed); }
-
  private:
   struct Slot {
     std::atomic<uint64_t> seq{0};
@@ -83,29 +67,10 @@ class TxnRing {
   /// Sentinel marking a slot whose publish is in flight.
   static constexpr uint64_t kWriting = ~0ULL;
 
-  /// Max registrations one combiner publishes before handing the head role
-  /// on — bounds the burst and the stack footprint of a combine.
-  static constexpr uint32_t kMaxCombine = 32;
-
-  /// Single-registrant path: one counter fetch_add + slot publish.
-  uint64_t RegisterDirect(TxnDescriptor* t);
-
-  /// Flat-combining path; returns false when no qnode was available and the
-  /// caller must fall back to RegisterDirect.
-  bool RegisterCombining(TxnDescriptor* t, uint64_t* out_seq);
-
-  /// Claim slot `seq % capacity` and publish (seq, t) with the CAS-on-tag
-  /// discipline shared by both registration paths.
-  void PublishSlot(uint64_t seq, TxnDescriptor* t);
-
   std::atomic<uint64_t> counter_;
   const uint64_t base_;
   uint32_t capacity_;
   std::unique_ptr<Slot[]> slots_;
-
-  std::atomic<bool> combining_{false};
-  /// MCS tail of the combining queue (qnode id; 0 = empty).
-  std::atomic<uint16_t> comb_tail_{0};
 };
 
 }  // namespace rocc

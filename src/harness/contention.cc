@@ -6,7 +6,6 @@
 #include "common/timer.h"
 #include "harness/knobs.h"
 #include "obs/obs.h"
-#include "sync/optiql.h"
 
 namespace rocc {
 
@@ -63,10 +62,6 @@ void ContentionManager::EnterProtected(uint32_t thread_id) {
     CooperativeYield();
   }
   states_[thread_id]->protected_mode = true;
-  // Queued try-lock waiters drop out of their stripe queues promptly while
-  // the gate is held, so locks transitively blocking the protected
-  // transaction are released instead of being held across a long FIFO wait.
-  sync::SetLockQuiesce(true);
   obs::WorkerEvent(thread_id, obs::EventType::kGateEnter, 0, thread_id, 0);
 }
 
@@ -74,7 +69,6 @@ void ContentionManager::ReleaseProtected(uint32_t thread_id) {
   State& st = *states_[thread_id];
   if (!st.protected_mode) return;
   st.protected_mode = false;
-  sync::SetLockQuiesce(false);
   holder_.store(kNoHolder, std::memory_order_release);
   obs::WorkerEvent(thread_id, obs::EventType::kGateExit, 0, thread_id, 0);
 }

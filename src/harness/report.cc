@@ -205,8 +205,7 @@ ReportTable RangeTelemetryTable(const RangeTelemetry& t) {
   std::vector<std::string> headers = {
       "range_id",       "start_key",  "end_key",       "slices",
       "ring_version",   "ring_cap",   "ring_high_water", "ring_resizes",
-      "combining",      "prev_rings", "registrations", "ring_lost",
-      "scan_conflict"};
+      "prev_rings",     "registrations", "ring_lost",  "scan_conflict"};
   for (AbortReason r : kAbortCauses) {
     headers.push_back(std::string("ab_") + AbortReasonName(r));
   }
@@ -220,7 +219,6 @@ ReportTable RangeTelemetryTable(const RangeTelemetry& t) {
         ReportTable::Fmt(static_cast<uint64_t>(r.ring_capacity)),
         ReportTable::Fmt(r.ring_high_water),
         ReportTable::Fmt(r.ring_resizes),
-        std::string(r.combining ? "yes" : "no"),
         ReportTable::Fmt(static_cast<uint64_t>(r.prev_rings)),
         ReportTable::Fmt(r.registrations), ReportTable::Fmt(r.ring_lost),
         ReportTable::Fmt(r.scan_conflict)};

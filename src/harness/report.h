@@ -87,8 +87,8 @@ std::vector<std::string> RangeSummaryHeaders();
 std::vector<std::string> RangeSummaryCells(const RangeTelemetry& t);
 
 /// Full per-range telemetry as a table (one row per surviving range, hottest
-/// first): key span, slices, ring version/capacity/high-water/resizes and the
-/// combining flag, predecessor count, registrations, and the per-range abort
+/// first): key span, slices, ring version/capacity/high-water/resizes,
+/// predecessor count, registrations, and the per-range abort
 /// attributions — shows WHERE contention lives and how the ring adapted.
 ReportTable RangeTelemetryTable(const RangeTelemetry& t);
 

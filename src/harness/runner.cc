@@ -175,9 +175,6 @@ RunResult RunExperiment(ConcurrencyControl* cc, Workload* workload,
   // pairs during its setup and warm-up; only the measured region is
   // construction-free.
   ZipfianGenerator::MarkZetaCacheWarm(false);
-  // Workers have not started: no latch is held or queued, so switching the
-  // lock implementation here is safe (idle lock words are identical in both).
-  if (options.set_lock_impl) sync::SetLockImpl(options.lock_impl);
   if (options.log != nullptr) cc->AttachLog(options.log);
   bool fibers;
   switch (options.mode) {

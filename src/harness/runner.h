@@ -6,7 +6,6 @@
 
 #include "cc/cc.h"
 #include "harness/stats.h"
-#include "sync/optiql.h"
 #include "workload/workload.h"
 
 namespace rocc {
@@ -34,12 +33,6 @@ struct RunOptions {
   /// redo records and block on group-commit acknowledgement. Not owned; the
   /// caller opens it first and stops it after the run.
   LogManager* log = nullptr;
-  /// When `set_lock_impl` is true, RunExperiment switches the process-global
-  /// lock implementation (sync::SetLockImpl) before workers start — the only
-  /// point where no latch can be held or queued. Left false, the current
-  /// setting (default cas, or whatever `--lock` selected) stays in force.
-  bool set_lock_impl = false;
-  sync::LockImpl lock_impl = sync::LockImpl::kCas;
 };
 
 /// Aggregated outcome of one measured run.

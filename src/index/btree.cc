@@ -102,25 +102,24 @@ Status BTree::Insert(uint64_t key, Row* row) {
       Inner* inner = static_cast<Inner*>(node);
       if (inner->count == kInnerMax) {
         // Eagerly split the full inner node while holding the parent lock.
-        Node::LatchGuard pg, ig;
-        if (parent != nullptr && !parent->TryUpgradeLock(pv, pg)) {
+        if (parent != nullptr && !parent->TryUpgradeLock(pv)) {
           restart = true;
           break;
         }
-        if (!inner->TryUpgradeLock(v, ig)) {
-          if (parent != nullptr) parent->WriteUnlock(pg);
+        if (!inner->TryUpgradeLock(v)) {
+          if (parent != nullptr) parent->WriteUnlock();
           restart = true;
           break;
         }
         if (parent == nullptr &&
             root_.load(std::memory_order_acquire) != inner) {
-          inner->WriteUnlock(ig);
+          inner->WriteUnlock();
           restart = true;
           break;
         }
         SplitInner(parent, inner);
-        inner->WriteUnlock(ig);
-        if (parent != nullptr) parent->WriteUnlock(pg);
+        inner->WriteUnlock();
+        if (parent != nullptr) parent->WriteUnlock();
         restart = true;  // retry from the top with the new shape
         break;
       }
@@ -138,27 +137,25 @@ Status BTree::Insert(uint64_t key, Row* row) {
 
     Leaf* leaf = static_cast<Leaf*>(node);
     if (leaf->count == kLeafMax) {
-      Node::LatchGuard pg, lg;
-      if (parent != nullptr && !parent->TryUpgradeLock(pv, pg)) continue;
-      if (!leaf->TryUpgradeLock(v, lg)) {
-        if (parent != nullptr) parent->WriteUnlock(pg);
+      if (parent != nullptr && !parent->TryUpgradeLock(pv)) continue;
+      if (!leaf->TryUpgradeLock(v)) {
+        if (parent != nullptr) parent->WriteUnlock();
         continue;
       }
       if (parent == nullptr && root_.load(std::memory_order_acquire) != leaf) {
-        leaf->WriteUnlock(lg);
+        leaf->WriteUnlock();
         continue;
       }
       SplitLeaf(parent, leaf);
-      leaf->WriteUnlock(lg);
-      if (parent != nullptr) parent->WriteUnlock(pg);
+      leaf->WriteUnlock();
+      if (parent != nullptr) parent->WriteUnlock();
       continue;
     }
 
-    Node::LatchGuard lg;
-    if (!leaf->TryUpgradeLock(v, lg)) continue;
+    if (!leaf->TryUpgradeLock(v)) continue;
     const int slot = leaf->LowerBound(key);
     if (slot < leaf->count && leaf->keys[slot] == key) {
-      leaf->WriteUnlock(lg);
+      leaf->WriteUnlock();
       return Status::KeyExists();
     }
     for (int i = leaf->count; i > slot; i--) {
@@ -168,7 +165,7 @@ Status BTree::Insert(uint64_t key, Row* row) {
     leaf->keys[slot] = key;
     leaf->vals[slot] = row;
     leaf->count++;
-    leaf->WriteUnlock(lg);
+    leaf->WriteUnlock();
     size_.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();
   }
@@ -222,11 +219,10 @@ Status BTree::Remove(uint64_t key) {
     if (restart) continue;
 
     Leaf* leaf = static_cast<Leaf*>(node);
-    Node::LatchGuard lg;
-    if (!leaf->TryUpgradeLock(v, lg)) continue;
+    if (!leaf->TryUpgradeLock(v)) continue;
     const int slot = leaf->LowerBound(key);
     if (slot >= leaf->count || leaf->keys[slot] != key) {
-      leaf->WriteUnlock(lg);
+      leaf->WriteUnlock();
       return Status::NotFound();
     }
     for (int i = slot; i + 1 < leaf->count; i++) {
@@ -234,7 +230,7 @@ Status BTree::Remove(uint64_t key) {
       leaf->vals[i] = leaf->vals[i + 1];
     }
     leaf->count--;
-    leaf->WriteUnlock(lg);
+    leaf->WriteUnlock();
     size_.fetch_sub(1, std::memory_order_relaxed);
     return Status::Ok();
   }

@@ -4,8 +4,8 @@
 #include <cstdint>
 
 #include "common/cacheline.h"
+#include "common/latch.h"
 #include "index/index.h"
-#include "sync/optiql.h"
 
 namespace rocc {
 
@@ -14,44 +14,90 @@ namespace btree_detail {
 constexpr int kInnerMax = 64;  ///< max keys per inner node
 constexpr int kLeafMax = 64;   ///< max entries per leaf
 
-/// Node header with an optimistic version latch (optimistic lock coupling,
-/// Leis et al., "The ART of Practical Synchronization"), backed by
-/// `sync::VersionLatch`: readers validate version snapshots and restart on
-/// interference exactly as before, while writers — under `--lock=optiql` —
-/// enqueue OptiQL-style on a per-node MCS queue instead of CAS-looping on a
-/// hot header word (DESIGN.md §13).
+/// Optimistic version latch for B+Tree nodes (optimistic lock coupling,
+/// Leis et al., "The ART of Practical Synchronization"). Bit 0 is the
+/// write-lock bit; versions are even when unlocked and advance by 2 per
+/// modifying writer, so optimistic readers detect concurrent modification
+/// and restart.
 ///
-/// Cache-line aligned so the latch word of one hot node never false-shares
-/// with a sibling allocation; keys/children start on the next line.
+///   uint64_t v = latch.ReadLockOrRestart();      // reader: stable snapshot
+///   ... read node ...
+///   if (!latch.CheckOrRestart(v)) restart;
+///
+///   if (!latch.UpgradeToWriteLockOrRestart(v)) restart;   // writer
+///   ... modify node ...
+///   latch.WriteUnlock();
+class VersionLatch {
+ public:
+  static constexpr uint64_t kLockedBit = 1;
+
+  /// Returns a stable (unlocked) version snapshot. Waits out a writer with a
+  /// yielding backoff: under fibers the writer may be a suspended fiber.
+  uint64_t ReadLockOrRestart() const {
+    uint64_t v = word_.load(std::memory_order_acquire);
+    if ((v & kLockedBit) == 0) return v;
+    SpinBackoff backoff(/*cap_spins=*/256);
+    do {
+      backoff.Pause();
+      v = word_.load(std::memory_order_acquire);
+    } while ((v & kLockedBit) != 0);
+    return v;
+  }
+
+  /// A locked word never equals an unlocked snapshot, so the full-word
+  /// compare rejects both a version change and a held lock.
+  bool CheckOrRestart(uint64_t expected) const {
+    return word_.load(std::memory_order_acquire) == expected;
+  }
+
+  /// Atomically upgrade a read snapshot to the write lock; false when the
+  /// version moved or the latch is held (the caller restarts).
+  bool UpgradeToWriteLockOrRestart(uint64_t expected) {
+    return word_.compare_exchange_strong(expected, expected | kLockedBit,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire);
+  }
+
+  /// Unconditional write lock.
+  void WriteLock() {
+    while (!UpgradeToWriteLockOrRestart(ReadLockOrRestart())) {
+    }
+  }
+
+  /// Releases the write lock and advances the version in one step: the
+  /// locked word is (v | 1) with v even, so adding 1 yields v + 2.
+  void WriteUnlock() { word_.fetch_add(1, std::memory_order_release); }
+
+  bool IsLocked() const {
+    return (word_.load(std::memory_order_acquire) & kLockedBit) != 0;
+  }
+
+ private:
+  std::atomic<uint64_t> word_{0};
+};
+
+/// Node header with an optimistic version latch. Cache-line aligned so the
+/// latch word of one hot node never false-shares with a sibling allocation;
+/// keys/children start on the next line.
 struct alignas(kCacheLineSize) Node {
-  sync::VersionLatch latch;
+  VersionLatch latch;
   bool is_leaf = false;
   uint16_t count = 0;
-  /// Per-latch cas->optiql promotion score for `--lock=adaptive`: this node
-  /// promotes itself to the queued path from its own contention history
-  /// instead of the global switch. Lives in the header line's padding.
-  sync::ContendedHint latch_hint;
 
-  /// Write-lock ownership token carried between upgrade and unlock.
-  using LatchGuard = sync::VersionLatch::Guard;
-
-  /// Returns a stable (unlocked) version snapshot, waiting out writers with
-  /// pause + capped exponential backoff.
+  /// Returns a stable (unlocked) version snapshot, waiting out writers.
   uint64_t StableVersion() const { return latch.ReadLockOrRestart(); }
 
   bool Validate(uint64_t expected) const {
     return latch.CheckOrRestart(expected);
   }
 
-  bool TryUpgradeLock(uint64_t expected, LatchGuard& g) {
-    return latch.UpgradeToWriteLockOrRestart(expected, g, &latch_hint);
+  bool TryUpgradeLock(uint64_t expected) {
+    return latch.UpgradeToWriteLockOrRestart(expected);
   }
-
-  void WriteLock(LatchGuard& g) { latch.WriteLock(g, &latch_hint); }
 
   /// Releases the write lock, advancing the version so concurrent optimistic
   /// readers detect the modification and restart.
-  void WriteUnlock(LatchGuard& g) { latch.WriteUnlock(g); }
+  void WriteUnlock() { latch.WriteUnlock(); }
 };
 static_assert(sizeof(Node) == kCacheLineSize,
               "Node header (latch + metadata) should occupy one cache line");

@@ -1,6 +1,6 @@
 #include "storage/row.h"
 
-#include "sync/optiql.h"
+#include "common/latch.h"
 
 namespace rocc {
 
@@ -9,9 +9,9 @@ constexpr int kReadSpins = 1024;
 }
 
 RowRead Row::ReadConsistent(void* out, uint64_t* version_out) const {
-  // Small-cap non-yielding backoff: commit sections holding the row lock are
-  // short, and this loop must stay bounded to preserve kBusy semantics.
-  sync::SpinBackoff backoff(/*cap_spins=*/16, /*yield=*/false);
+  // Small-cap backoff: commit sections holding the row lock are short, and
+  // this loop must stay bounded to preserve kBusy semantics.
+  SpinBackoff backoff(/*cap_spins=*/16, /*yield=*/false);
   for (int attempt = 0; attempt < kReadSpins; attempt++) {
     const uint64_t v1 = tid.load(std::memory_order_acquire);
     if (TidWord::IsLocked(v1)) {
@@ -49,21 +49,12 @@ bool Row::TryLock() {
 }
 
 bool Row::LockWithSpin(int spins) {
-  sync::SpinBackoff backoff(/*cap_spins=*/64, /*yield=*/false);
+  SpinBackoff backoff(/*cap_spins=*/64, /*yield=*/false);
   for (int i = 0; i < spins; i++) {
     if (TryLock()) return true;
     backoff.Pause();
   }
   return false;
-}
-
-namespace {
-bool TryLockThunk(void* arg) { return static_cast<Row*>(arg)->TryLock(); }
-}  // namespace
-
-bool Row::LockContended(int attempts, bool cancelable) {
-  if (!sync::QueueCapable()) return LockWithSpin(attempts);
-  return sync::QueuedTryAcquire(this, attempts, &TryLockThunk, this, cancelable);
 }
 
 void Row::Unlock() {

@@ -75,20 +75,10 @@ struct Row {
   /// Try to acquire the record lock; fails if already locked.
   bool TryLock();
 
-  /// Spin up to `spins` attempts to take the lock.
+  /// Bounded acquire: up to `spins` TryLock attempts with backoff (inside a
+  /// fiber each failed attempt yields, so a suspended holder can finish).
+  /// False when the lock stayed held; callers abort with kLockFail.
   bool LockWithSpin(int spins);
-
-  /// Contention-robust bounded acquire for the validator's sorted lock phase
-  /// (DESIGN.md §13). Under `--lock=cas` this is LockWithSpin; under
-  /// `--lock=optiql` waiters queue FIFO on a cache-padded MCS stripe and only
-  /// the queue head retries the TID-word CAS, so hot records degrade to fair
-  /// queuing instead of a CAS storm. Bounded either way (the caller aborts
-  /// with kLockFail on false), and the packed TID layout is untouched — MVCC
-  /// and WAL consumers read the same word they always did. Pass
-  /// cancelable=false when the caller holds no other row locks: such a
-  /// waiter rides the queue out instead of dropping out under a protected
-  /// quiesce (sync::SetLockQuiesce).
-  bool LockContended(int attempts, bool cancelable = true);
 
   /// Release the lock without changing version (abort path).
   void Unlock();

@@ -273,7 +273,7 @@ TEST(BTreeConcurrency, ReadersNeverSeeTornStateDuringInserts) {
   });
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; r++) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, r] {
       Rng rng(r + 1);
       while (!stop.load()) {
         // Point gets: a present even key must always be found with its value.

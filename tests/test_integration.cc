@@ -2,6 +2,10 @@
 // produces sane statistics for every protocol, and the paper's headline
 // cost relationships hold qualitatively (RV examines fewer transactions than
 // GWV; LRV validation work scales with scan length).
+//
+// Every run uses the seeded fiber runner, so the counters these claims
+// compare repeat exactly from run to run whatever the host's core count or
+// load; real threads would compare two timesliced runs.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +34,7 @@ RunResult RunYcsb(const std::string& proto, uint64_t rows, uint64_t scan_len,
   run.num_threads = threads;
   run.txns_per_thread = txns;
   run.warmup_txns_per_thread = 50;
+  run.mode = ExecMode::kFibers;
   return RunExperiment(cc.get(), &wl, run);
 }
 
@@ -97,6 +102,7 @@ TEST(PaperClaims, RegistrationToggleOnlyAffectsRegistrations) {
   run.num_threads = 2;
   run.txns_per_thread = 300;
   run.warmup_txns_per_thread = 20;
+  run.mode = ExecMode::kFibers;
   const RunResult r_on = RunExperiment(on.get(), &wl1, run);
   const RunResult r_off = RunExperiment(off.get(), &wl2, run);
   EXPECT_GT(r_on.stats.registrations, 0u);

@@ -15,7 +15,6 @@
 #include "core/range_manager.h"
 #include "core/rocc.h"
 #include "harness/runner.h"
-#include "sync/optiql.h"
 #include "workload/ycsb.h"
 
 namespace rocc {
@@ -272,8 +271,7 @@ TEST(RangeManagerTest, TelemetrySnapshotsCountersAndTopology) {
 /// High-skew hybrid YCSB on tiny rings with the key-space grid FROZEN
 /// (slices_per_range=1): splitting is impossible, so relieving the ring_lost
 /// pressure requires the tuner to replace hot rings mid-run, while scans
-/// hold predicates built against the retired generation. The queued lock
-/// mode additionally arms combining registration on the promoted rings.
+/// hold predicates built against the retired generation.
 RunResult RunFrozenGridYcsb(ExecMode mode, uint32_t num_threads,
                             uint64_t txns_per_thread, Rocc** cc_out,
                             std::unique_ptr<Rocc>* cc_holder,
@@ -296,7 +294,6 @@ RunResult RunFrozenGridYcsb(ExecMode mode, uint32_t num_threads,
   ropts.tuner.pressure_threshold = 4;
   ropts.tuner.slices_per_range = 1;  // frozen: Split/Merge can never fire
   ropts.tuner.adaptive_ring = true;
-  ropts.tuner.combining_reg_threshold = 32;
   *cc_holder = std::make_unique<Rocc>(db_holder->get(), num_threads, ropts);
   *cc_out = cc_holder->get();
 
@@ -306,11 +303,7 @@ RunResult RunFrozenGridYcsb(ExecMode mode, uint32_t num_threads,
   run.warmup_txns_per_thread = 10;
   run.seed = 7;
   run.mode = mode;
-  run.set_lock_impl = true;
-  run.lock_impl = sync::LockImpl::kOptiql;
-  const RunResult r = RunExperiment(cc_holder->get(), wl_holder->get(), run);
-  sync::SetLockImpl(sync::LockImpl::kCas);
-  return r;
+  return RunExperiment(cc_holder->get(), wl_holder->get(), run);
 }
 
 TEST(ResizeEndToEndTest, FiberRunGrowsHotRingsMidScan) {

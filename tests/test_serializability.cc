@@ -4,10 +4,12 @@
 //  1. Transfer conservation — point read/write conflicts.
 //  2. Range-sum conservation — scans racing transfers (predicate validation).
 //  3. Phantom count conservation — scans racing insert+delete pairs.
+//  4. Same-key insert races — aborted inserts never unlink committed keys.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -30,7 +32,8 @@ constexpr uint32_t kThreads = 4;
 
 std::unique_ptr<ConcurrencyControl> MakeProtocol(const std::string& name,
                                                  Database* db, uint32_t table,
-                                                 uint64_t key_max) {
+                                                 uint64_t key_max,
+                                                 uint32_t threads = kThreads) {
   if (name == "rocc" || name == "mvrcc") {
     RoccOptions opts;
     RangeConfig rc;
@@ -40,12 +43,28 @@ std::unique_ptr<ConcurrencyControl> MakeProtocol(const std::string& name,
     rc.num_ranges = 16;
     rc.ring_capacity = 1024;
     opts.tables = {rc};
-    if (name == "mvrcc") return std::make_unique<Mvrcc>(db, kThreads, std::move(opts));
-    return std::make_unique<Rocc>(db, kThreads, std::move(opts));
+    if (name == "mvrcc") return std::make_unique<Mvrcc>(db, threads, std::move(opts));
+    return std::make_unique<Rocc>(db, threads, std::move(opts));
   }
-  if (name == "lrv") return std::make_unique<SiloLrv>(db, kThreads);
-  if (name == "gwv") return std::make_unique<HyperGwv>(db, kThreads);
-  return std::make_unique<TplNoWait>(db, kThreads);
+  if (name == "lrv") return std::make_unique<SiloLrv>(db, threads);
+  if (name == "gwv") return std::make_unique<HyperGwv>(db, threads);
+  return std::make_unique<TplNoWait>(db, threads);
+}
+
+/// Scanner driver for the conservation tests: runs `scan_once` at least
+/// `attempts` times and until every writer has finished, ending with an
+/// attempt that began after the last writer finished. While transfers run,
+/// a scan can fail fast on every attempt, so a fixed attempt count alone
+/// lets slow writers outlast the scanner and leave no committed scan to
+/// check.
+template <typename ScanOnce>
+void ScanUntilWritersDone(int attempts, const std::atomic<uint32_t>& writers_left,
+                          ScanOnce scan_once) {
+  for (int i = 1;; i++) {
+    const bool quiescent = writers_left.load(std::memory_order_acquire) == 0;
+    scan_once();
+    if (i >= attempts && quiescent) return;
+  }
 }
 
 class BalanceSumConsumer : public ScanConsumer {
@@ -138,21 +157,22 @@ TEST_P(SerializabilityTest, RangeSumConservationUnderTransfers) {
   auto cc = MakeProtocol(GetParam(), &db_, table_, kAccounts);
   std::atomic<bool> violation{false};
   std::atomic<uint64_t> committed_scans{0};
+  std::atomic<uint32_t> writers_left{kThreads - 1};
 
   std::vector<std::thread> threads;
   for (uint32_t tid = 0; tid < kThreads; tid++) {
     threads.emplace_back([&, tid] {
       Rng rng(2000 + tid);
-      for (int i = 0; i < 1500; i++) {
-        if (tid == 0) {
-          // Dedicated scanner thread: full-table sum.
+      if (tid == 0) {
+        // Dedicated scanner thread: full-table sum.
+        ScanUntilWritersDone(1500, writers_left, [&] {
           TxnDescriptor* t = cc->Begin(tid);
           t->is_scan_txn = true;
           BalanceSumConsumer sum;
           Status st = cc->Scan(t, table_, 0, kAccounts, 0, &sum);
           if (!st.ok()) {
             cc->Abort(t);
-            continue;
+            return;
           }
           if (cc->Commit(t).ok()) {
             committed_scans.fetch_add(1);
@@ -161,10 +181,11 @@ TEST_P(SerializabilityTest, RangeSumConservationUnderTransfers) {
               violation.store(true);
             }
           }
-        } else {
-          Transfer(cc.get(), tid, rng);
-        }
+        });
+        return;
       }
+      for (int i = 0; i < 1500; i++) Transfer(cc.get(), tid, rng);
+      writers_left.fetch_sub(1, std::memory_order_release);
     });
   }
   for (auto& th : threads) th.join();
@@ -182,19 +203,20 @@ TEST_P(SerializabilityTest, WindowSumConservation) {
   constexpr uint64_t kWindowEnd = 192;  // 64 accounts
   std::atomic<bool> violation{false};
   std::atomic<uint64_t> committed_scans{0};
+  std::atomic<uint32_t> writers_left{kThreads - 1};
 
   std::vector<std::thread> threads;
   for (uint32_t tid = 0; tid < kThreads; tid++) {
     threads.emplace_back([&, tid] {
       Rng rng(3000 + tid);
-      for (int i = 0; i < 1500; i++) {
-        if (tid == 0) {
+      if (tid == 0) {
+        ScanUntilWritersDone(1500, writers_left, [&] {
           TxnDescriptor* t = cc->Begin(tid);
           BalanceSumConsumer sum;
           Status st = cc->Scan(t, table_, kWindowStart, kWindowEnd, 0, &sum);
           if (!st.ok()) {
             cc->Abort(t);
-            continue;
+            return;
           }
           if (cc->Commit(t).ok()) {
             committed_scans.fetch_add(1);
@@ -202,28 +224,31 @@ TEST_P(SerializabilityTest, WindowSumConservation) {
               violation.store(true);
             }
           }
-        } else {
-          // Transfer within the window only.
-          const uint64_t a = kWindowStart + rng.Uniform(kWindowEnd - kWindowStart);
-          uint64_t b = kWindowStart + rng.Uniform(kWindowEnd - kWindowStart);
-          if (a == b) continue;
-          TxnDescriptor* t = cc->Begin(tid);
-          uint64_t va = 0, vb = 0;
-          Status st = cc->Read(t, table_, a, &va);
-          if (st.ok()) st = cc->Read(t, table_, b, &vb);
-          if (st.ok() && va >= 1) {
-            va -= 1;
-            vb += 1;
-            st = cc->Update(t, table_, a, &va, sizeof(va), 0);
-            if (st.ok()) st = cc->Update(t, table_, b, &vb, sizeof(vb), 0);
-          }
-          if (!st.ok()) {
-            cc->Abort(t);
-            continue;
-          }
-          cc->Commit(t);
-        }
+        });
+        return;
       }
+      for (int i = 0; i < 1500; i++) {
+        // Transfer within the window only.
+        const uint64_t a = kWindowStart + rng.Uniform(kWindowEnd - kWindowStart);
+        uint64_t b = kWindowStart + rng.Uniform(kWindowEnd - kWindowStart);
+        if (a == b) continue;
+        TxnDescriptor* t = cc->Begin(tid);
+        uint64_t va = 0, vb = 0;
+        Status st = cc->Read(t, table_, a, &va);
+        if (st.ok()) st = cc->Read(t, table_, b, &vb);
+        if (st.ok() && va >= 1) {
+          va -= 1;
+          vb += 1;
+          st = cc->Update(t, table_, a, &va, sizeof(va), 0);
+          if (st.ok()) st = cc->Update(t, table_, b, &vb, sizeof(vb), 0);
+        }
+        if (!st.ok()) {
+          cc->Abort(t);
+          continue;
+        }
+        cc->Commit(t);
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
     });
   }
   for (auto& th : threads) th.join();
@@ -254,25 +279,26 @@ TEST_P(SerializabilityTest, PhantomCountConservation) {
   auto cc = MakeProtocol(GetParam(), &db_, table_, kThreads * kRegion);
   std::atomic<bool> violation{false};
   std::atomic<uint64_t> committed_scans{0};
+  std::atomic<uint32_t> writers_left{kThreads - 1};
 
   std::vector<std::thread> threads;
   for (uint32_t tid = 0; tid < kThreads; tid++) {
     threads.emplace_back([&, tid] {
       Rng rng(4000 + tid);
       if (tid == 0) {
-        for (int i = 0; i < 1000; i++) {
+        ScanUntilWritersDone(1000, writers_left, [&] {
           TxnDescriptor* t = cc->Begin(tid);
           BalanceSumConsumer counter;
           Status st = cc->Scan(t, table_, 0, kThreads * kRegion, 0, &counter);
           if (!st.ok()) {
             cc->Abort(t);
-            continue;
+            return;
           }
           if (cc->Commit(t).ok()) {
             committed_scans.fetch_add(1);
             if (counter.count() != total_rows) violation.store(true);
           }
-        }
+        });
         return;
       }
       // Writer: maintain a moving window of live keys [low, low+kPerThread).
@@ -292,6 +318,7 @@ TEST_P(SerializabilityTest, PhantomCountConservation) {
           next++;
         }
       }
+      writers_left.fetch_sub(1, std::memory_order_release);
     });
   }
   for (auto& th : threads) th.join();
@@ -305,6 +332,106 @@ TEST_P(SerializabilityTest, PhantomCountConservation) {
     return true;
   });
   EXPECT_EQ(rows, total_rows);
+}
+
+/// Commit one increment of `key` on worker slot `tid`, retrying conflicts.
+void BumpHotRow(ConcurrencyControl* cc, uint32_t tid, uint32_t table,
+                uint64_t key) {
+  for (;;) {
+    TxnDescriptor* t = cc->Begin(tid);
+    uint64_t v = 0;
+    Status st = cc->Read(t, table, key, &v);
+    v++;
+    if (st.ok()) st = cc->Update(t, table, key, &v, sizeof(v), 0);
+    if (!st.ok()) {
+      cc->Abort(t);
+      continue;
+    }
+    if (cc->Commit(t).ok()) return;
+  }
+}
+
+// Same-key insert races. An aborting inserter must unlink its fresh
+// placeholder before it unlocks it: in between, a concurrent inserter of the
+// same key could resurrect the unlocked placeholder and commit it, and the
+// aborter's key-based Remove would then unlink a committed row. Real threads
+// only: a fiber cannot be switched out between the unlock and the Remove.
+//
+// Each round, every thread tries to insert the round's keys in the same
+// order until someone commits each key. Half the attempts abort after their
+// placeholder exists: 2PL aborts explicitly after Insert; in the OCC schemes
+// the attempt also read-modify-writes one hot row, and the thread commits a
+// second update of that row, through a spare worker slot, between the read
+// and the commit. The commit's lock phase indexes the placeholder (its key
+// sorts before the hot row) and validation then fails.
+TEST_P(SerializabilityTest, AbortedInsertsNeverUnlinkCommittedKeys) {
+  table_ = db_.CreateTable("accounts", Schema({{"balance", 8, 0}}));
+  constexpr uint64_t kKeys = 16;
+  constexpr uint64_t kRounds = 3000;
+  constexpr int kMaxAttempts = 64;
+  constexpr uint64_t kHotKey = kRounds * kKeys;  // sorts after every insert
+  const uint64_t zero = 0;
+  db_.LoadRow(table_, kHotKey, &zero);
+  auto cc = MakeProtocol(GetParam(), &db_, table_, kHotKey + 1, 2 * kThreads);
+  const bool two_pl = GetParam() == "2pl";
+  std::vector<std::atomic<uint32_t>> commits(kRounds * kKeys);
+  std::barrier round_start(kThreads);
+
+  std::vector<std::thread> threads;
+  for (uint32_t tid = 0; tid < kThreads; tid++) {
+    threads.emplace_back([&, tid] {
+      for (uint64_t round = 0; round < kRounds; round++) {
+        round_start.arrive_and_wait();
+        for (uint64_t key = round * kKeys; key < (round + 1) * kKeys; key++) {
+          for (int attempt = 0;
+               attempt < kMaxAttempts &&
+               commits[key].load(std::memory_order_acquire) == 0;
+               attempt++) {
+            const bool doomed = (attempt + tid) % 2 == 0;
+            TxnDescriptor* t = cc->Begin(tid);
+            Status st = Status::Ok();
+            if (doomed && !two_pl) {
+              uint64_t hot = 0;
+              st = cc->Read(t, table_, kHotKey, &hot);
+              BumpHotRow(cc.get(), tid + kThreads, table_, kHotKey);
+              hot++;
+              if (st.ok()) st = cc->Update(t, table_, kHotKey, &hot, sizeof(hot), 0);
+            }
+            const uint64_t v = 1;
+            if (st.ok()) st = cc->Insert(t, table_, key, &v);
+            if (!st.ok() || (doomed && two_pl)) {
+              cc->Abort(t);
+              continue;
+            }
+            if (cc->Commit(t).ok()) {
+              commits[key].fetch_add(1, std::memory_order_acq_rel);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  // A committed key is committed once and indexed to a live row; a key no
+  // attempt committed is not live.
+  uint64_t bad_rounds = 0;
+  uint64_t committed_keys = 0;
+  OrderedIndex* idx = db_.GetIndex(table_);
+  for (uint64_t round = 0; round < kRounds; round++) {
+    bool bad = false;
+    for (uint64_t key = round * kKeys; key < (round + 1) * kKeys; key++) {
+      const uint32_t n = commits[key].load(std::memory_order_relaxed);
+      const Row* row = idx->Get(key);
+      const bool live = row != nullptr && !row->IsAbsent();
+      if (n > 1 || live != (n == 1)) bad = true;
+      committed_keys += n;
+    }
+    if (bad) bad_rounds++;
+  }
+  EXPECT_EQ(bad_rounds, 0u) << "lost or duplicated keys in " << bad_rounds
+                            << " of " << kRounds << " rounds";
+  EXPECT_GT(committed_keys, kRounds * kKeys / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, SerializabilityTest,

@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "core/range_manager.h"
 #include "core/txn_ring.h"
-#include "sync/optiql.h"
 #include "txn/epoch.h"
 
 namespace rocc {
@@ -279,110 +278,6 @@ TEST(TxnRingBase, WrapWindowOnSeededRing) {
       }
     }
   }
-}
-
-// --------------------------------------------------------------------------
-// Combining registration
-// --------------------------------------------------------------------------
-
-TEST(TxnRingCombining, SingleThreadMatchesDirectSemantics) {
-  sync::SetLockImpl(sync::LockImpl::kOptiql);
-  TxnRing ring(16);
-  ring.SetCombining(true);
-  EXPECT_TRUE(ring.combining());
-  TxnDescriptor a, b;
-  // An uncontended combining registrant is its own combiner of a batch of
-  // one: same sequence/versioning contract as the direct path.
-  EXPECT_EQ(ring.Register(&a), 1u);
-  EXPECT_EQ(ring.Register(&b), 2u);
-  EXPECT_EQ(ring.Get(1), &a);
-  EXPECT_EQ(ring.Get(2), &b);
-  EXPECT_EQ(ring.Version(), 2u);
-  sync::SetLockImpl(sync::LockImpl::kCas);
-}
-
-TEST(TxnRingCombiningConcurrency, SequencesUniqueAndResolvable) {
-  sync::SetLockImpl(sync::LockImpl::kOptiql);
-  TxnRing ring(1 << 16);
-  ring.SetCombining(true);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  std::vector<std::vector<uint64_t>> seqs(kThreads);
-  std::vector<TxnDescriptor> descs(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; i++) {
-        seqs[t].push_back(ring.Register(&descs[t]));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  // One registration = one version bump, batched or not: the issued
-  // sequences are exactly 1..N with no duplicate and no hole.
-  std::vector<uint64_t> all;
-  for (auto& v : seqs) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  for (size_t i = 0; i < all.size(); i++) ASSERT_EQ(all[i], i + 1);
-  EXPECT_EQ(ring.Version(), static_cast<uint64_t>(kThreads) * kPerThread);
-
-  // Per-thread program order survives batching: a waiter's assigned
-  // sequence is always greater than its previous registration's.
-  for (int t = 0; t < kThreads; t++) {
-    for (size_t i = 1; i < seqs[t].size(); i++) {
-      ASSERT_GT(seqs[t][i], seqs[t][i - 1]);
-    }
-  }
-
-  // Every surviving slot resolves to the registering descriptor.
-  const uint64_t version = ring.Version();
-  const uint64_t lo = version > ring.capacity() ? version - ring.capacity() + 1 : 1;
-  for (uint64_t seq = lo; seq <= version; seq++) {
-    TxnDescriptor* d = ring.Get(seq);
-    ASSERT_NE(d, nullptr);
-    const int owner = static_cast<int>(d - descs.data());
-    ASSERT_TRUE(std::binary_search(seqs[owner].begin(), seqs[owner].end(), seq));
-  }
-  sync::SetLockImpl(sync::LockImpl::kCas);
-}
-
-TEST(TxnRingCombiningConcurrency, DirectAndCombiningInteroperate) {
-  // The tuner may arm/disarm combining at any time; both paths share the
-  // slot-claim protocol, so uniqueness and resolvability must hold while
-  // registrants race the switch itself.
-  sync::SetLockImpl(sync::LockImpl::kOptiql);
-  TxnRing ring(1 << 14);
-  constexpr int kThreads = 6;
-  constexpr int kPerThread = 4000;
-  std::vector<std::vector<uint64_t>> seqs(kThreads);
-  std::vector<TxnDescriptor> descs(kThreads);
-  std::atomic<bool> stop{false};
-  std::thread toggler([&] {
-    bool on = false;
-    while (!stop.load(std::memory_order_acquire)) {
-      ring.SetCombining(on = !on);
-      std::this_thread::yield();
-    }
-  });
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; i++) {
-        seqs[t].push_back(ring.Register(&descs[t]));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  stop.store(true, std::memory_order_release);
-  toggler.join();
-
-  std::vector<uint64_t> all;
-  for (auto& v : seqs) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  for (size_t i = 0; i < all.size(); i++) ASSERT_EQ(all[i], i + 1);
-  EXPECT_EQ(ring.Version(), static_cast<uint64_t>(kThreads) * kPerThread);
-  sync::SetLockImpl(sync::LockImpl::kCas);
 }
 
 // --------------------------------------------------------------------------
