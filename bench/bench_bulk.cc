@@ -15,9 +15,6 @@
 //                  regression guard)
 //   --schemes S    comma list from lrv,gwv,rocc,mvrcc   (default all)
 //   --point-ops N  operations per point transaction     (default 8)
-//   --adaptive     enable the RangeTuner on rocc/mvrcc runs; the reported
-//                  rows gain nothing but the contention columns reflect the
-//                  tuner (relief_splits, fewer escalations under skew)
 //
 // A bulk transaction scans a uniformly placed block of W keys (aggregating
 // the payloads) and then updates every key in the block; a point transaction
@@ -201,7 +198,6 @@ int main(int argc, char** argv) {
   BulkOptions base;
   base.num_rows = env.rows;
   base.point_ops = static_cast<uint32_t>(env.cfg.GetInt("point-ops", 8));
-  const bool adaptive = env.cfg.GetBool("adaptive", false);
 
   // Load once; the workload never inserts or deletes, so the table can be
   // adopted by reconfigured generators across every sweep point.
@@ -233,9 +229,7 @@ int main(int argc, char** argv) {
       BulkWorkload workload(opts);
       workload.Adopt(table_id);
       for (const std::string& scheme : schemes) {
-        auto cc = CreateProtocol(scheme, &db, workload, env.threads,
-                                 /*ranges_hint=*/0, /*ring_capacity=*/4096,
-                                 /*rocc_register_writes=*/true, adaptive);
+        auto cc = CreateProtocol(scheme, &db, workload, env.threads);
         RunOptions run;
         run.num_threads = env.threads;
         run.txns_per_thread = env.txns_per_thread;

@@ -252,12 +252,8 @@ inline std::string BuildVarsJson(const std::string& binary) {
   for (size_t ti = 0; ti < tables.size(); ti++) {
     const RangeTelemetry& t = tables[ti];
     VarsAppendf(&out,
-                "%s{\"table_version\":%llu,\"num_ranges\":%u,\"splits\":%llu,"
-                "\"merges\":%llu,\"resizes\":%llu,\"registrations\":%llu,"
-                "\"ranges\":[",
-                ti == 0 ? "" : ",", static_cast<ull>(t.table_version),
-                t.num_ranges, static_cast<ull>(t.splits),
-                static_cast<ull>(t.merges), static_cast<ull>(t.resizes),
+                "%s{\"num_ranges\":%u,\"registrations\":%llu,\"ranges\":[",
+                ti == 0 ? "" : ",", t.num_ranges,
                 static_cast<ull>(t.total_registrations));
     for (size_t ri = 0; ri < t.rows.size(); ri++) {
       const RangeTelemetry::Row& r = t.rows[ri];
@@ -265,15 +261,12 @@ inline std::string BuildVarsJson(const std::string& binary) {
                   "%s{\"range_id\":%u,\"start_key\":%llu,\"end_key\":%llu,"
                   "\"registrations\":%llu,\"ring_lost\":%llu,"
                   "\"scan_conflict\":%llu,\"ring_capacity\":%u,"
-                  "\"ring_high_water\":%llu,\"ring_resizes\":%llu,"
                   "\"aborts_by_reason\":{",
                   ri == 0 ? "" : ",", r.range_id,
                   static_cast<ull>(r.start_key), static_cast<ull>(r.end_key),
                   static_cast<ull>(r.registrations),
                   static_cast<ull>(r.ring_lost),
-                  static_cast<ull>(r.scan_conflict), r.ring_capacity,
-                  static_cast<ull>(r.ring_high_water),
-                  static_cast<ull>(r.ring_resizes));
+                  static_cast<ull>(r.scan_conflict), r.ring_capacity);
       // Heatmap row, nonzero cells only, to bound the document size.
       bool first = true;
       for (size_t c = 0; c < kNumAbortCauses; c++) {

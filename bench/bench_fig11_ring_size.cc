@@ -6,81 +6,14 @@
 // skew; small arrays hurt under skew (hot ranges wrap their rings and force
 // conservative aborts — the paper's variant blocks registration instead,
 // with the same performance cliff). The paper settles on 5000 slots.
-//
-//   --adaptive    Instead of asking "which static size should we have
-//                 picked?", let the tuner answer at runtime: each cell
-//                 starts from a deliberately small ring and runs static vs
-//                 adaptive (tuner with a frozen grid, adaptive_ring on), so
-//                 the adaptive arm must climb out of the Fig. 11 cliff by
-//                 resizing. Reports resizes and the final hot-ring capacity
-//                 next to the throughput recovered.
-
-#include <algorithm>
-#include <memory>
 
 #include "bench_common.h"
-#include "core/rocc.h"
 
 using namespace rocc;        // NOLINT
 using namespace rocc::bench; // NOLINT
 
-namespace {
-
-/// --adaptive mode: small starting rings, tuner-driven capacity.
-int AdaptiveSweep(const BenchEnv& env) {
-  PrintBanner("Fig. 11 adaptive: tuner-grown ring capacity vs static",
-              env.Describe());
-  YcsbOptions opts;
-  opts.theta = env.cfg.GetDouble("theta", 0.95);
-  opts.scan_theta = env.cfg.GetDouble("scan-theta", 0.0);
-  opts.scan_length = static_cast<uint64_t>(env.cfg.GetInt("scan_len", 100));
-  YcsbBench bench(env, opts);
-  const uint32_t ranges = static_cast<uint32_t>(env.cfg.GetInt(
-      "num-ranges", static_cast<int64_t>(bench.workload().DefaultNumRanges())));
-  const auto ring_sizes = env.cfg.GetIntList("ring_sizes", {16, 32, 64});
-
-  ReportTable table({"start_ring", "layout", "scan_tps", "scan_abort_rate",
-                     "abort_ring_lost", "resizes", "final_hot_ring"});
-  GiveUpGuard guard;
-  for (int64_t ring : ring_sizes) {
-    if (ring <= 0) continue;
-    for (const bool adaptive : {false, true}) {
-      RoccOptions ropts;
-      ropts.tables =
-          bench.workload().RangeConfigs(ranges, static_cast<uint32_t>(ring));
-      ropts.default_ring_capacity = static_cast<uint32_t>(ring);
-      if (adaptive) {
-        // Frozen grid: the only lever the tuner has is ring capacity, so
-        // any recovery over the static arm is attributable to resizing.
-        ropts.tuner.enabled = true;
-        ropts.tuner.slices_per_range = 1;
-        ropts.tuner.adaptive_ring = true;
-      }
-      auto cc = std::make_unique<Rocc>(bench.db(), env.threads, ropts);
-      const RunResult r = bench.RunWith(cc.get());
-      guard.Check(r, std::string(adaptive ? "adaptive" : "static") +
-                         " @ ring=" + F(static_cast<uint64_t>(ring)));
-      const RangeTelemetry tel =
-          cc->range_manager(bench.workload().table_id())->Telemetry();
-      uint64_t hot_ring = 0;
-      for (const RangeTelemetry::Row& row : tel.rows) {
-        hot_ring = std::max<uint64_t>(hot_ring, row.ring_capacity);
-      }
-      table.AddRow({F(static_cast<uint64_t>(ring)),
-                    adaptive ? "adaptive" : "static", F(r.ScanThroughput(), 1),
-                    F(r.stats.ScanAbortRate(), 4), F(r.stats.abort_ring_lost),
-                    F(adaptive ? cc->tuner()->resizes() : 0), F(hot_ring)});
-    }
-  }
-  Emit(env, table, "adaptive_ring");
-  return guard.Failed() ? 1 : 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   BenchEnv env = ParseEnv(argc, argv);
-  if (env.cfg.Has("adaptive")) return AdaptiveSweep(env);
   PrintBanner("Fig. 11: RV scan throughput vs circular-array size", env.Describe());
 
   YcsbOptions opts;

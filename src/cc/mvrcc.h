@@ -19,10 +19,8 @@ namespace rocc {
 /// is recorded in DESIGN.md §3; it reproduces exactly the two deficits §VI
 /// attributes to MVRCC.
 ///
-/// MVRCC inherits ROCC's adaptive range table unchanged (DESIGN.md §10):
-/// when RoccOptions::tuner.enabled is set, its predicates snapshot the
-/// epoch-published table and fence predecessor rings exactly like ROCC's —
-/// only the boundary imprecision above differs.
+/// MVRCC inherits ROCC's static range layout and rings unchanged; only the
+/// boundary imprecision above differs.
 class Mvrcc : public Rocc {
  public:
   Mvrcc(Database* db, uint32_t num_threads, RoccOptions options)

@@ -6,7 +6,6 @@
 #include <inttypes.h>
 
 #include "cc/occ_util.h"
-#include "harness/contention.h"
 
 namespace rocc {
 
@@ -24,10 +23,6 @@ Rocc::Rocc(Database* db, uint32_t num_threads, RoccOptions options)
     : OccBase(db, num_threads), options_(std::move(options)) {
   // Misconfiguration is a programming error: fail fast, before any worker
   // can run against a layout that cannot satisfy the protocol's invariants.
-  const uint32_t spr =
-      options_.tuner.enabled
-          ? std::max<uint32_t>(1, options_.tuner.slices_per_range)
-          : 1;
   managers_.resize(db->NumTables());
   for (const RangeConfig& rc : options_.tables) {
     const Status st = ValidateRangeConfig(rc);
@@ -47,41 +42,22 @@ Rocc::Rocc(Database* db, uint32_t num_threads, RoccOptions options)
       num_ranges = static_cast<uint32_t>(span);
     }
     managers_[rc.table_id] = std::make_unique<RangeManager>(
-        rc.key_min, rc.key_max, num_ranges, rc.ring_capacity, spr);
+        rc.key_min, rc.key_max, num_ranges, rc.ring_capacity);
   }
   for (size_t i = 0; i < managers_.size(); i++) {
     if (managers_[i] == nullptr) {
       managers_[i] = std::make_unique<RangeManager>(
-          0, 1ULL << 62, 1, options_.default_ring_capacity, spr);
-    }
-  }
-  if (options_.tuner.enabled) {
-    tuner_ = std::make_unique<RangeTuner>(&managers_, &epoch_, options_.tuner);
-    if (contention_ != nullptr) {
-      // Contention relief: before a repeatedly aborting scan escalates into
-      // the protected-retry gate, give the tuner one shot at a structural
-      // fix (split the hot range) — cheaper than stalling admissions.
-      contention_->SetReliefHook([this](uint32_t) { return tuner_->ForceTune(); });
+          0, 1ULL << 62, 1, options_.default_ring_capacity);
     }
   }
 }
 
 std::vector<RangeTelemetry> Rocc::LiveRangeTelemetry(size_t top_n) {
-  if (tuner_ != nullptr) return tuner_->TelemetryLocked(top_n);
   std::vector<RangeTelemetry> out;
   for (const auto& m : managers_) {
     if (m != nullptr) out.push_back(m->Telemetry(top_n));
   }
   return out;
-}
-
-Status Rocc::Commit(TxnDescriptor* t) {
-  const Status st = OccBase::Commit(t);
-  // Piggybacked tuning: runs after FinishTxn, so this thread holds no locks
-  // and is outside its epoch — a pass can observe the grace period without
-  // waiting on ourselves.
-  if (tuner_ != nullptr) tuner_->MaybeTune();
-  return st;
 }
 
 Status Rocc::Scan(TxnDescriptor* t, uint32_t table_id, uint64_t start_key,
@@ -97,43 +73,28 @@ Status Rocc::Scan(TxnDescriptor* t, uint32_t table_id, uint64_t start_key,
     return SnapshotScan(t, table_id, start_key, end_key, limit, consumer);
   }
   RangeManager* rm = managers_[table_id].get();
-  // One table snapshot per scan: every predicate of this scan is built
-  // against it, and records which table version it fenced (§III-C2 +
-  // DESIGN.md §10). Epoch protection keeps the pointers alive.
-  const RangeTable* table = rm->Snapshot();
   const uint64_t end_bound = (end_key == 0) ? rm->key_max() : end_key;
   uint64_t cursor = std::max(start_key, rm->key_min());
   uint64_t produced = 0;
   const bool precise = PreciseBoundaries();
 
   while (cursor < end_bound && (limit == 0 || produced < limit)) {
-    const uint32_t rid = table->slice_to_range[rm->SliceOf(cursor)];
-    LogicalRange* lr = table->range(rid);
-    const uint64_t range_lo = lr->start_key;
+    const uint32_t rid = rm->RangeOf(cursor);
+    const uint64_t range_lo = rm->RangeStart(rid);
+    const uint64_t range_end = rm->RangeEnd(rid);
     // Keys beyond the configured key space clamp into the last logical range
     // (writers register there too), so the last range absorbs any scan tail
     // past key_max — otherwise the cursor could never reach end_bound.
-    const bool last_range = rid + 1 == table->num_ranges();
+    const bool last_range = rid + 1 == rm->num_ranges();
     const uint64_t range_hi =
-        last_range ? end_bound : std::min(lr->end_key, end_bound);
+        last_range ? end_bound : std::min(range_end, end_bound);
 
     // Construct the predicate BEFORE scanning the range (§III-C2): taking
     // rd_ts first is the moral equivalent of acquiring a range read lock.
-    // The predecessor rings are fenced here too — writers that loaded the
-    // pre-split table register there during the transition window.
     RangePredicate p;
     p.table_id = table_id;
     p.range_id = rid;
-    p.table_version = table->version;
-    p.range = lr;
-    p.ring = lr->ring.get();
-    p.rd_ts = p.ring->Version();
-    p.num_prev = static_cast<uint32_t>(
-        std::min<size_t>(lr->prev_rings.size(), RangePredicate::kMaxPrevRings));
-    for (uint32_t i = 0; i < p.num_prev; i++) {
-      p.prev[i].ring = lr->prev_rings[i].get();
-      p.prev[i].rd_ts = p.prev[i].ring->Version();
-    }
+    p.rd_ts = rm->ring(rid).Version();
 
     uint64_t last_key = 0;
     uint64_t n = 0;
@@ -150,11 +111,11 @@ Status Rocc::Scan(TxnDescriptor* t, uint32_t table_id, uint64_t start_key,
     if (precise) {
       p.start_key = cursor;
       p.end_key = hit_limit ? last_key + 1 : range_hi;
-      p.cover = !hit_limit && cursor <= range_lo && range_hi == lr->end_key;
+      p.cover = !hit_limit && cursor <= range_lo && range_hi == range_end;
     } else {
       // MVRCC-style imprecision: every touched range counts as fully read.
       p.start_key = range_lo;
-      p.end_key = lr->end_key;
+      p.end_key = range_end;
       p.cover = true;
     }
     t->predicates.push_back(p);
@@ -170,31 +131,18 @@ void Rocc::RegisterWrites(TxnDescriptor* t) {
   TxnStats& s = stats(t->thread_id);
   for (const WriteEntry& we : t->write_set) {
     RangeManager* rm = managers_[we.table_id].get();
-    const RangeTable* table = rm->Snapshot();
-    // Publish-race loop: if the range table is swapped between mapping the
-    // key and a validator reading the new table, re-map and register in the
-    // new ring as well, so the write intention is visible from whichever
-    // table a concurrent scan snapshots. Terminates when the snapshot is
-    // stable across the registration (publishes are rare).
-    for (;;) {
-      LogicalRange* lr = table->range(table->slice_to_range[rm->SliceOf(we.key)]);
-      // A transaction registers in each ring only once (§V-H); the dedup
-      // list holds the ring pointers themselves, kept sorted so the
-      // membership probe is O(log R) even for bulk writers spanning many
-      // ranges. Ring lifetimes are epoch-protected for the whole txn.
-      const uint64_t tag = reinterpret_cast<uint64_t>(lr->ring.get());
-      const auto it = std::lower_bound(t->registered_ranges.begin(),
-                                       t->registered_ranges.end(), tag);
-      if (it == t->registered_ranges.end() || *it != tag) {
-        t->registered_ranges.insert(it, tag);
-        lr->ring->Register(t);
-        s.registrations++;
-        lr->stats.registrations.fetch_add(1, std::memory_order_relaxed);
-      }
-      const RangeTable* now = rm->Snapshot();
-      if (now == table) break;
-      table = now;
-    }
+    const uint32_t rid = rm->RangeOf(we.key);
+    // A transaction registers in each range only once (§V-H); the dedup
+    // list holds (table, range) tags, kept sorted so the membership probe is
+    // O(log R) even for bulk writers spanning many ranges.
+    const uint64_t tag = (static_cast<uint64_t>(we.table_id) << 32) | rid;
+    const auto it = std::lower_bound(t->registered_ranges.begin(),
+                                     t->registered_ranges.end(), tag);
+    if (it != t->registered_ranges.end() && *it == tag) continue;
+    t->registered_ranges.insert(it, tag);
+    rm->ring(rid).Register(t);
+    s.registrations++;
+    rm->stats(rid).registrations.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -207,54 +155,38 @@ void Rocc::NoteScanAbort(TxnDescriptor* t, const RangePredicate& p,
   if (ctxs_[t->thread_id]->last_conflict_range == obs::kNoRange) {
     ctxs_[t->thread_id]->last_conflict_range = p.range_id;
   }
-  if (p.range != nullptr) {
-    std::atomic<uint64_t>& counter = reason == AbortReason::kRingLost
-                                         ? p.range->stats.ring_lost
-                                         : p.range->stats.scan_conflict;
-    counter.fetch_add(1, std::memory_order_relaxed);
-    // Contention heatmap: the same attribution, keyed by the full reason so
-    // /vars and report --json can render range_id × AbortReason without a
-    // trace dump. kNone never reaches this path (callers pass a real cause).
-    const uint32_t col = AbortReasonColumn(reason);
-    if (col > 0) {
-      p.range->stats.abort_by_reason[col - 1].fetch_add(
-          1, std::memory_order_relaxed);
-    }
+  RangeStats& rs = managers_[p.table_id]->stats(p.range_id);
+  std::atomic<uint64_t>& counter =
+      reason == AbortReason::kRingLost ? rs.ring_lost : rs.scan_conflict;
+  counter.fetch_add(1, std::memory_order_relaxed);
+  // Contention heatmap: the same attribution, keyed by the full reason so
+  // /vars and report --json can render range_id × AbortReason without a
+  // trace dump. kNone never reaches this path (callers pass a real cause).
+  const uint32_t col = AbortReasonColumn(reason);
+  if (col > 0) {
+    rs.abort_by_reason[col - 1].fetch_add(1, std::memory_order_relaxed);
   }
-  if (tuner_ != nullptr) tuner_->NoteAbortPressure(1);
 }
 
-bool Rocc::ValidateRingWindow(TxnDescriptor* t, const RangePredicate& p,
-                              TxnRing& ring, uint64_t rd_ts, uint64_t my_cts,
-                              bool allow_cover_fast, uint64_t lo, uint64_t hi,
-                              uint32_t* pace_counter) {
+bool Rocc::ValidatePredicate(TxnDescriptor* t, const RangePredicate& p,
+                             uint64_t my_cts, uint32_t* pace_counter) {
+  RangeManager* rm = managers_[p.table_id].get();
+  TxnRing& ring = rm->ring(p.range_id);
   TxnStats& s = stats(t->thread_id);
-  // A ring created by an adaptive resize starts at the retired ring's
-  // version: sequences at or below base() were issued by the predecessor,
-  // which this predicate fences separately (prev_rings) or walks as an
-  // unknown current ring. Clamping keeps the wrap check honest on a fresh
-  // replacement ring — without it a full-history walk (rd_ts = 0) would
-  // instantly count the seeded base as lost information.
-  if (rd_ts < ring.base()) rd_ts = ring.base();
+
+  // Effective key bounds of the predicate for precise checks: a covering
+  // predicate spans its range, a partial one its observed extent.
+  const uint64_t lo = p.cover ? rm->RangeStart(p.range_id) : p.start_key;
+  const uint64_t hi = p.cover ? rm->RangeEnd(p.range_id) : p.end_key;
+
   const uint64_t v_ts = ring.Version();
-  if (v_ts == rd_ts) return true;  // unchanged ring: fast path
-  if (allow_cover_fast && p.range != nullptr) {
-    // High-water telemetry on the predicate's primary ring: the widest
-    // window a validator had to cover is the capacity the workload needs,
-    // and the tuner's grow policy jumps straight past it.
-    std::atomic<uint64_t>& hw = p.range->stats.ring_high_water;
-    const uint64_t span = v_ts - rd_ts;
-    uint64_t prev = hw.load(std::memory_order_relaxed);
-    while (span > prev &&
-           !hw.compare_exchange_weak(prev, span, std::memory_order_relaxed)) {
-    }
-  }
-  if (v_ts - rd_ts >= ring.capacity()) {
+  if (v_ts == p.rd_ts) return true;  // unchanged range: fast path
+  if (v_ts - p.rd_ts >= ring.capacity()) {
     NoteScanAbort(t, p, AbortReason::kRingLost);
     return false;  // the ring wrapped: conflict information was lost
   }
 
-  for (uint64_t seq = rd_ts + 1; seq <= v_ts; seq++) {
+  for (uint64_t seq = p.rd_ts + 1; seq <= v_ts; seq++) {
     TxnDescriptor* writer = ring.Get(seq);
     if (writer == nullptr) {
       NoteScanAbort(t, p, AbortReason::kRingLost);
@@ -276,10 +208,8 @@ bool Rocc::ValidateRingWindow(TxnDescriptor* t, const RangePredicate& p,
       return false;  // conservative
     }
     if (wcts > my_cts) continue;  // serializes after this transaction
-    if (p.cover && allow_cover_fast && options_.cover_fast_path) {
-      // Any overlapping writer intersects a fully covered range. Only valid
-      // on the predicate's primary ring: writers in a predecessor or
-      // current-table ring may lie entirely outside this range's span.
+    if (p.cover && options_.cover_fast_path) {
+      // Any writer registered to a fully covered range intersects it.
       NoteScanAbort(t, p, AbortReason::kScanConflict);
       return false;
     }
@@ -293,68 +223,6 @@ bool Rocc::ValidateRingWindow(TxnDescriptor* t, const RangePredicate& p,
     if (writer->WritesIntersect(p.table_id, lo, hi)) {
       NoteScanAbort(t, p, AbortReason::kScanConflict);
       return false;
-    }
-  }
-  return true;
-}
-
-bool Rocc::ValidatePredicate(TxnDescriptor* t, const RangePredicate& p,
-                             uint64_t my_cts, uint32_t* pace_counter) {
-  RangeManager* rm = managers_[p.table_id].get();
-  TxnRing* primary = p.ring != nullptr ? p.ring : &rm->ring(p.range_id);
-
-  // Effective key bounds of the predicate for precise checks: a covering
-  // predicate spans its snapshot range, a partial one its observed extent.
-  uint64_t lo, hi;
-  if (p.cover) {
-    lo = p.range != nullptr ? p.range->start_key : rm->RangeStart(p.range_id);
-    hi = p.range != nullptr ? p.range->end_key : rm->RangeEnd(p.range_id);
-  } else {
-    lo = p.start_key;
-    hi = p.end_key;
-  }
-
-  // 1. The snapshot range's own ring, with the cover fast path.
-  if (!ValidateRingWindow(t, p, *primary, p.rd_ts, my_cts,
-                          /*allow_cover_fast=*/true, lo, hi, pace_counter)) {
-    return false;
-  }
-
-  // 2. Predecessor rings fenced at predicate-build time: writers that loaded
-  // the pre-transition table register there (DESIGN.md §10).
-  for (uint32_t i = 0; i < p.num_prev; i++) {
-    if (!ValidateRingWindow(t, p, *p.prev[i].ring, p.prev[i].rd_ts, my_cts,
-                            /*allow_cover_fast=*/false, lo, hi, pace_counter)) {
-      return false;
-    }
-  }
-
-  // 3. Transition window, other direction: the table advanced since the scan
-  // snapshotted it, so ranges now overlapping the scanned span may carry
-  // rings the snapshot never fenced. Validate every unknown ring over its
-  // full history (rd_ts = 0) — conservative, and degrades to a ring_lost
-  // abort when the history no longer fits the ring. Only the current
-  // ranges' own rings need walking: any fenced-but-replaced ring a live
-  // writer could have registered in is either this predicate's primary /
-  // predecessor ring, or belongs to a current range — replacing a range
-  // created after this transaction entered its epoch is blocked by the
-  // tuner's grace gate (DESIGN.md §10).
-  const RangeTable* cur = rm->Snapshot();
-  if (cur->version != p.table_version && hi > lo) {
-    const uint32_t rid_lo = cur->slice_to_range[rm->SliceOf(lo)];
-    const uint32_t rid_hi = cur->slice_to_range[rm->SliceOf(hi - 1)];
-    for (uint32_t rid = rid_lo; rid <= rid_hi; rid++) {
-      TxnRing* ring = cur->range(rid)->ring.get();
-      bool known = ring == primary;
-      for (uint32_t j = 0; !known && j < p.num_prev; j++) {
-        known = ring == p.prev[j].ring;
-      }
-      if (known) continue;
-      if (!ValidateRingWindow(t, p, *ring, /*rd_ts=*/0, my_cts,
-                              /*allow_cover_fast=*/false, lo, hi,
-                              pace_counter)) {
-        return false;
-      }
     }
   }
   return true;

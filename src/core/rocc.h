@@ -6,7 +6,6 @@
 
 #include "cc/cc.h"
 #include "core/range_manager.h"
-#include "core/range_tuner.h"
 
 namespace rocc {
 
@@ -38,10 +37,6 @@ struct RoccOptions {
   /// ones. Semantically identical (a writer registered to a range always has
   /// a key inside it); isolates the CPU saving of range-level validation.
   bool cover_fast_path = true;
-  /// Adaptive range refinement (DESIGN.md §10). When tuner.enabled, every
-  /// table's key space is gridded at tuner.slices_per_range and a
-  /// commit-piggybacked RangeTuner splits hot ranges / merges cold ones.
-  RangeTunerOptions tuner;
 };
 
 /// Range Optimistic Concurrency Control — the paper's contribution.
@@ -61,13 +56,9 @@ struct RoccOptions {
 /// writer. A partial predicate additionally checks the writer's keys against
 /// [start, end) so unrelated writes in the same range do not abort the scan.
 ///
-/// With the adaptive layout, a predicate snapshots its range's current ring
-/// AND the rings of the range(s) it replaced (prev_rings), all
-/// version-fenced before the scan; validation walks every snapshot ring's
-/// window, and — when the range table advanced underneath the transaction —
-/// conservatively validates any ring in the current table overlapping the
-/// scanned span that the snapshot did not know, over its full history
-/// (DESIGN.md §10). The read path stays lock-free throughout.
+/// The range layout is static (paper §III-A): each table's key space is cut
+/// into n equal ranges at construction, each with one fixed-size ring, so a
+/// predicate's range id names its ring for the transaction's whole life.
 class Rocc : public OccBase {
  public:
   Rocc(Database* db, uint32_t num_threads, RoccOptions options);
@@ -77,17 +68,10 @@ class Rocc : public OccBase {
   Status Scan(TxnDescriptor* t, uint32_t table_id, uint64_t start_key,
               uint64_t end_key, uint64_t limit, ScanConsumer* consumer) override;
 
-  /// Commit, then piggyback a tuning pass (outside the epoch, no locks held).
-  Status Commit(TxnDescriptor* t) override;
-
   RangeManager* range_manager(uint32_t table_id) { return managers_[table_id].get(); }
-  RangeTuner* tuner() { return tuner_.get(); }
 
-  /// Per-table range telemetry for a live observer (/vars) that is NOT in
-  /// the worker epoch protocol. With a tuner, rows come from
-  /// RangeTuner::TelemetryLocked — serialized against structural passes so
-  /// no retired table is freed mid-read; without one the layout is static
-  /// and direct reads are safe.
+  /// Per-table range telemetry for a live observer (/vars). The layout is
+  /// static and the counters are atomics, so any thread may call it.
   std::vector<RangeTelemetry> LiveRangeTelemetry(size_t top_n = 8);
 
  protected:
@@ -98,26 +82,17 @@ class Rocc : public OccBase {
   /// predicates lose their [start, end) precision and cover whole ranges.
   virtual bool PreciseBoundaries() const { return true; }
 
-  /// Validate one predicate against its range's transaction list(s).
-  /// `pace_counter` threads the validation-pacing unit count across
-  /// predicates (see ConcurrencyControl::SetValidationPacing).
+  /// Validate one predicate against the window (rd_ts, v_ts] of its range's
+  /// transaction list. `pace_counter` threads the validation-pacing unit
+  /// count across predicates (see ConcurrencyControl::SetValidationPacing).
   bool ValidatePredicate(TxnDescriptor* t, const RangePredicate& p, uint64_t my_cts,
                          uint32_t* pace_counter);
 
-  /// Validate the window (rd_ts, ring.Version()] of one ring against
-  /// predicate `p`, with precise checks bounded by [lo, hi). The cover fast
-  /// path only applies on the predicate's primary ring (`allow_cover_fast`):
-  /// prev/cross rings can hold writers outside the predicate's range.
-  bool ValidateRingWindow(TxnDescriptor* t, const RangePredicate& p, TxnRing& ring,
-                          uint64_t rd_ts, uint64_t my_cts, bool allow_cover_fast,
-                          uint64_t lo, uint64_t hi, uint32_t* pace_counter);
-
-  /// NoteAbortCause + per-range abort attribution + tuner pressure.
+  /// NoteAbortCause + per-range abort attribution.
   void NoteScanAbort(TxnDescriptor* t, const RangePredicate& p, AbortReason reason);
 
   std::vector<std::unique_ptr<RangeManager>> managers_;  // indexed by table id
   RoccOptions options_;
-  std::unique_ptr<RangeTuner> tuner_;  // null unless options_.tuner.enabled
 };
 
 }  // namespace rocc

@@ -4,10 +4,8 @@
 
 namespace rocc {
 
-TxnRing::TxnRing(uint32_t capacity, uint64_t base)
-    : counter_(base),
-      base_(base),
-      capacity_(capacity == 0 ? 1 : capacity),
+TxnRing::TxnRing(uint32_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity),
       slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
 
 TxnRing::~TxnRing() = default;
@@ -41,7 +39,6 @@ uint64_t TxnRing::Register(TxnDescriptor* t) {
 }
 
 TxnDescriptor* TxnRing::Get(uint64_t seq) const {
-  if (seq <= base_) return nullptr;  // issued by a predecessor ring
   const Slot& slot = slots_[seq % capacity_];
   // The registrant increments the counter before publishing the slot; give a
   // mid-publish writer a short grace period before giving up.

@@ -25,30 +25,20 @@ namespace rocc {
 ///    depends on the ring being large enough — sizing it is purely a
 ///    performance trade-off (paper §IV, Fig. 11).
 ///
-/// A ring may start at a nonzero `base` sequence. The adaptive resize path
-/// (RangeManager::Resize, DESIGN.md §15) seeds a replacement ring at the
-/// retired ring's version, so the range's version keeps advancing
-/// monotonically across the swap; sequences at or below `base` belong to the
-/// predecessor ring and `Get` reports them as lost here.
-///
 /// Descriptor lifetime is guaranteed by epoch-based reclamation: a validator
 /// only dereferences registrations sequenced after its own transaction began
 /// (see EpochManager), so EBR's transaction-granularity grace period covers
 /// every access.
 class TxnRing {
  public:
-  explicit TxnRing(uint32_t capacity, uint64_t base = 0);
+  explicit TxnRing(uint32_t capacity);
   ~TxnRing();
 
   TxnRing(const TxnRing&) = delete;
   TxnRing& operator=(const TxnRing&) = delete;
 
-  /// Current version (= base + total number of registrations so far).
+  /// Current version (= total number of registrations so far).
   uint64_t Version() const { return counter_.load(std::memory_order_acquire); }
-
-  /// First sequence this ring can hold is base() + 1; earlier sequences were
-  /// issued by a predecessor ring (adaptive resize) and are unknown here.
-  uint64_t base() const { return base_; }
 
   /// Publish `t` as a writer of this range; returns its sequence number.
   uint64_t Register(TxnDescriptor* t);
@@ -67,8 +57,7 @@ class TxnRing {
   /// Sentinel marking a slot whose publish is in flight.
   static constexpr uint64_t kWriting = ~0ULL;
 
-  std::atomic<uint64_t> counter_;
-  const uint64_t base_;
+  std::atomic<uint64_t> counter_{0};
   uint32_t capacity_;
   std::unique_ptr<Slot[]> slots_;
 };

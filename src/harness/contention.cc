@@ -27,7 +27,6 @@ void ContentionManager::BeginTxn(uint32_t thread_id, bool is_scan_txn) {
   State& st = *states_[thread_id];
   st.consecutive_aborts = 0;
   st.is_scan = is_scan_txn;
-  st.relief_tried = false;
 }
 
 bool ContentionManager::InProtectedRetry(uint32_t thread_id) const {
@@ -102,19 +101,6 @@ void ContentionManager::OnAbort(uint32_t thread_id, AbortReason reason, Rng& rng
                        std::memory_order_relaxed))
                  : options_.point_escalation_aborts;
   if (threshold != 0 && st.consecutive_aborts >= threshold) {
-    // Structural relief before the stop-the-world gate: once per logical
-    // transaction, let the protocol try a cheaper fix (split the hot range).
-    // On success, reset the ladder and retry normally; a transaction that
-    // keeps aborting crosses the threshold again and escalates for real.
-    if (relief_hook_ && !st.relief_tried) {
-      st.relief_tried = true;
-      if (relief_hook_(thread_id)) {
-        s.relief_splits++;
-        st.consecutive_aborts = 0;
-        CooperativeYield();
-        return;
-      }
-    }
     s.escalations++;
     EnterProtected(thread_id);
     return;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -101,17 +100,6 @@ class ContentionManager {
   /// True while `thread_id`'s current logical transaction is escalated.
   bool InProtectedRetry(uint32_t thread_id) const;
 
-  /// Install a structural relief hook, tried once per logical transaction at
-  /// the escalation threshold BEFORE the protected-retry gate. If the hook
-  /// returns true (it changed something — e.g. the RangeTuner split the hot
-  /// range), the abort ladder resets and escalation is skipped for this
-  /// attempt; if the transaction keeps aborting, the next threshold crossing
-  /// escalates normally. Called with no protocol locks held. Install before
-  /// workers start; the hook must be safe to call from any worker.
-  void SetReliefHook(std::function<bool(uint32_t thread_id)> hook) {
-    relief_hook_ = std::move(hook);
-  }
-
   const ContentionOptions& options() const { return options_; }
 
  private:
@@ -125,7 +113,6 @@ class ContentionManager {
     uint32_t consecutive_aborts = 0;
     bool is_scan = false;
     bool protected_mode = false;
-    bool relief_tried = false;  // one relief attempt per logical transaction
   };
   static_assert(sizeof(State) % kCacheLineSize == 0,
                 "per-worker retry state must occupy whole cache lines");
@@ -147,7 +134,6 @@ class ContentionManager {
   /// the scan escalation threshold is consulted on every scan abort, so the
   /// knob cell replaces the plain options_ field on that read.
   std::atomic<uint64_t>* scan_escalation_knob_;
-  std::function<bool(uint32_t)> relief_hook_;
   std::vector<std::unique_ptr<State>> states_;
   /// Protected-retry token: thread id of the holder, kNoHolder when free.
   alignas(kCacheLineSize) std::atomic<uint32_t> holder_{kNoHolder};

@@ -166,7 +166,7 @@ bool JsonReport::WriteTo(const std::string& path) const {
 }
 
 std::vector<std::string> ContentionHeaders() {
-  return {"give_ups",     "escalations",  "protected_commits", "relief_splits",
+  return {"give_ups",      "escalations",  "protected_commits",
           "attempts_mean", "attempts_p99", "backoff_ms"};
 }
 
@@ -175,59 +175,9 @@ std::vector<std::string> ContentionCells(const TxnStats& stats) {
   return {ReportTable::Fmt(stats.give_ups),
           ReportTable::Fmt(stats.escalations),
           ReportTable::Fmt(stats.protected_commits),
-          ReportTable::Fmt(stats.relief_splits),
           ReportTable::Fmt(a.count() == 0 ? 0.0 : a.Mean(), 2),
           ReportTable::Fmt(static_cast<uint64_t>(a.Percentile(99))),
           ReportTable::Fmt(static_cast<double>(stats.backoff_ns_total) / 1e6, 3)};
-}
-
-std::vector<std::string> RangeSummaryHeaders() {
-  return {"ranges", "table_version", "splits",
-          "merges", "resizes",       "hot_reg_share"};
-}
-
-std::vector<std::string> RangeSummaryCells(const RangeTelemetry& t) {
-  const double hot_share =
-      t.total_registrations == 0 || t.rows.empty()
-          ? 0.0
-          : static_cast<double>(t.rows.front().registrations) /
-                static_cast<double>(t.total_registrations);
-  return {ReportTable::Fmt(static_cast<uint64_t>(t.num_ranges)),
-          ReportTable::Fmt(t.table_version), ReportTable::Fmt(t.splits),
-          ReportTable::Fmt(t.merges), ReportTable::Fmt(t.resizes),
-          ReportTable::Fmt(hot_share, 3)};
-}
-
-ReportTable RangeTelemetryTable(const RangeTelemetry& t) {
-  // The trailing ab_<reason> columns are the range_id × AbortReason
-  // contention heatmap; the same names appear in /vars and the Prometheus
-  // labels (single string table via AbortReasonName).
-  std::vector<std::string> headers = {
-      "range_id",       "start_key",  "end_key",       "slices",
-      "ring_version",   "ring_cap",   "ring_high_water", "ring_resizes",
-      "prev_rings",     "registrations", "ring_lost",  "scan_conflict"};
-  for (AbortReason r : kAbortCauses) {
-    headers.push_back(std::string("ab_") + AbortReasonName(r));
-  }
-  ReportTable table(std::move(headers));
-  for (const RangeTelemetry::Row& r : t.rows) {
-    std::vector<std::string> cells = {
-        ReportTable::Fmt(static_cast<uint64_t>(r.range_id)),
-        ReportTable::Fmt(r.start_key), ReportTable::Fmt(r.end_key),
-        ReportTable::Fmt(static_cast<uint64_t>(r.num_slices)),
-        ReportTable::Fmt(r.ring_version),
-        ReportTable::Fmt(static_cast<uint64_t>(r.ring_capacity)),
-        ReportTable::Fmt(r.ring_high_water),
-        ReportTable::Fmt(r.ring_resizes),
-        ReportTable::Fmt(static_cast<uint64_t>(r.prev_rings)),
-        ReportTable::Fmt(r.registrations), ReportTable::Fmt(r.ring_lost),
-        ReportTable::Fmt(r.scan_conflict)};
-    for (size_t c = 0; c < kNumAbortCauses; c++) {
-      cells.push_back(ReportTable::Fmt(r.abort_by_reason[c]));
-    }
-    table.AddRow(std::move(cells));
-  }
-  return table;
 }
 
 ReportTable LatencySummaryTable(const TxnStats& stats) {

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/range_manager.h"
 #include "harness/stats.h"
 
 namespace rocc {
@@ -78,19 +77,6 @@ void PrintBanner(const std::string& title, const std::string& params);
 /// so every table reports the contention manager the same way.
 std::vector<std::string> ContentionHeaders();
 std::vector<std::string> ContentionCells(const TxnStats& stats);
-
-/// Range-layout summary columns for benches running an adaptive (or static)
-/// ROCC layout: final range count, table version, split/merge/resize totals,
-/// and the hottest range's share of all writer registrations (1.0 =
-/// everything landed in one range). Pair the two like ContentionHeaders/Cells.
-std::vector<std::string> RangeSummaryHeaders();
-std::vector<std::string> RangeSummaryCells(const RangeTelemetry& t);
-
-/// Full per-range telemetry as a table (one row per surviving range, hottest
-/// first): key span, slices, ring version/capacity/high-water/resizes,
-/// predecessor count, registrations, and the per-range abort
-/// attributions — shows WHERE contention lives and how the ring adapted.
-ReportTable RangeTelemetryTable(const RangeTelemetry& t);
 
 /// Extended latency summary, one row per populated distribution: the
 /// end-to-end latencies (all / scan / durable) and, when the flight recorder

@@ -214,12 +214,11 @@ RunResult RunExperiment(ConcurrencyControl* cc, Workload* workload,
 std::unique_ptr<ConcurrencyControl> CreateProtocol(
     const std::string& name_in, Database* db, const Workload& workload,
     uint32_t num_threads, uint32_t ranges_hint, uint32_t ring_capacity,
-    bool rocc_register_writes, bool adaptive, bool mvcc) {
+    bool rocc_register_writes) {
   std::string name = name_in;
-  if (name.size() > 3 && name.compare(name.size() - 3, 3, "+mv") == 0) {
-    mvcc = true;
-    name.resize(name.size() - 3);
-  }
+  const bool mvcc =
+      name.size() > 3 && name.compare(name.size() - 3, 3, "+mv") == 0;
+  if (mvcc) name.resize(name.size() - 3);
   const auto finish = [mvcc](std::unique_ptr<ConcurrencyControl> cc) {
     if (mvcc && !cc->EnableMvcc()) {
       std::fprintf(stderr,
@@ -240,7 +239,6 @@ std::unique_ptr<ConcurrencyControl> CreateProtocol(
     RoccOptions opts;
     opts.tables = workload.RangeConfigs(ranges_hint, ring_capacity);
     opts.default_ring_capacity = ring_capacity;
-    opts.tuner.enabled = adaptive;
     return finish(std::make_unique<Mvrcc>(db, num_threads, std::move(opts)));
   }
   if (name == "2pl" || name == "tpl") {
@@ -251,7 +249,6 @@ std::unique_ptr<ConcurrencyControl> CreateProtocol(
   opts.tables = workload.RangeConfigs(ranges_hint, ring_capacity);
   opts.default_ring_capacity = ring_capacity;
   opts.register_writes = rocc_register_writes;
-  opts.tuner.enabled = adaptive;
   return finish(std::make_unique<Rocc>(db, num_threads, std::move(opts)));
 }
 

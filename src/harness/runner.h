@@ -81,14 +81,12 @@ bool LiveRunActive();
 /// `ranges_hint` scales the workload's logical-range layout (0 = default);
 /// `ring_capacity` sizes every circular transaction list.
 /// `rocc_register_writes` is the Fig. 12 ablation toggle.
-/// `adaptive` enables the RangeTuner on rocc/mvrcc (default policy knobs);
-/// other schemes ignore it.
-/// `mvcc` turns on the multi-version row store (ConcurrencyControl::
-/// EnableMvcc) so read-only snapshot scans resolve against version chains; a
-/// "+mv" suffix on `name` (e.g. "rocc+mv") does the same.
+/// A "+mv" suffix on `name` (e.g. "rocc+mv") turns on the multi-version row
+/// store (ConcurrencyControl::EnableMvcc) so read-only snapshot scans
+/// resolve against version chains.
 std::unique_ptr<ConcurrencyControl> CreateProtocol(
     const std::string& name, Database* db, const Workload& workload,
     uint32_t num_threads, uint32_t ranges_hint = 0, uint32_t ring_capacity = 4096,
-    bool rocc_register_writes = true, bool adaptive = false, bool mvcc = false);
+    bool rocc_register_writes = true);
 
 }  // namespace rocc

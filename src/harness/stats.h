@@ -135,7 +135,6 @@ struct alignas(kCacheLineSize) TxnStats {
   uint64_t give_ups = 0;           ///< logical txns dropped: retry budget spent
   uint64_t escalations = 0;        ///< entries into protected (escalated) retry
   uint64_t protected_commits = 0;  ///< commits that needed the protected retry
-  uint64_t relief_splits = 0;      ///< escalations avoided by a structural fix
   uint64_t backoff_ns_total = 0;   ///< time spent in adaptive abort backoff
   uint64_t gate_wait_ns = 0;       ///< time stalled behind a protected retry
 
@@ -207,7 +206,6 @@ struct alignas(kCacheLineSize) TxnStats {
     give_ups += o.give_ups;
     escalations += o.escalations;
     protected_commits += o.protected_commits;
-    relief_splits += o.relief_splits;
     backoff_ns_total += o.backoff_ns_total;
     gate_wait_ns += o.gate_wait_ns;
     latency_all.Merge(o.latency_all);

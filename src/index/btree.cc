@@ -1,6 +1,5 @@
 #include "index/btree.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace rocc {
@@ -11,16 +10,38 @@ using btree_detail::kLeafMax;
 using btree_detail::Leaf;
 using btree_detail::Node;
 
+// Binary searches over the relaxed key loads. An optimistic reader may see
+// a writer's half-shifted keys: the result is then garbage but stays within
+// [0, count], and the reader's version check discards it.
+
 int Inner::ChildIndex(uint64_t key) const {
   // First separator strictly greater than key; children[i] covers
   // [keys[i-1], keys[i]).
-  const uint64_t* end = keys + count;
-  return static_cast<int>(std::upper_bound(keys, end, key) - keys);
+  int lo = 0;
+  int hi = count.load();
+  while (lo < hi) {
+    const int mid = (lo + hi) / 2;
+    if (keys[mid].load() <= key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 int Leaf::LowerBound(uint64_t key) const {
-  const uint64_t* end = keys + count;
-  return static_cast<int>(std::lower_bound(keys, end, key) - keys);
+  int lo = 0;
+  int hi = count.load();
+  while (lo < hi) {
+    const int mid = (lo + hi) / 2;
+    if (keys[mid].load() < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 BTree::BTree() { root_.store(new Leaf(), std::memory_order_release); }
@@ -30,7 +51,9 @@ BTree::~BTree() { FreeRecursive(root_.load(std::memory_order_acquire)); }
 void BTree::FreeRecursive(Node* node) {
   if (!node->is_leaf) {
     Inner* inner = static_cast<Inner*>(node);
-    for (int i = 0; i <= inner->count; i++) FreeRecursive(inner->children[i]);
+    for (int i = 0; i <= inner->count.load(); i++) {
+      FreeRecursive(inner->children[i].load());
+    }
     delete inner;
   } else {
     delete static_cast<Leaf*>(node);
@@ -41,21 +64,22 @@ void BTree::InsertIntoParentLocked(Inner* parent, uint64_t sep, Node* left,
                                    Node* right) {
   if (parent != nullptr) {
     // Eager splitting on the way down guarantees room here.
-    assert(parent->count < kInnerMax);
+    const int count = parent->count.load();
+    assert(count < kInnerMax);
     int pos = parent->ChildIndex(sep);
-    for (int i = parent->count; i > pos; i--) {
-      parent->keys[i] = parent->keys[i - 1];
-      parent->children[i + 1] = parent->children[i];
+    for (int i = count; i > pos; i--) {
+      parent->keys[i].store(parent->keys[i - 1].load());
+      parent->children[i + 1].store(parent->children[i].load());
     }
-    parent->keys[pos] = sep;
-    parent->children[pos + 1] = right;
-    parent->count++;
+    parent->keys[pos].store(sep);
+    parent->children[pos + 1].store(right);
+    parent->count.store(static_cast<uint16_t>(count + 1));
   } else {
     Inner* new_root = new Inner();
-    new_root->keys[0] = sep;
-    new_root->children[0] = left;
-    new_root->children[1] = right;
-    new_root->count = 1;
+    new_root->keys[0].store(sep);
+    new_root->children[0].store(left);
+    new_root->children[1].store(right);
+    new_root->count.store(1);
     root_.store(new_root, std::memory_order_release);
   }
 }
@@ -64,28 +88,36 @@ void BTree::SplitInner(Inner* parent, Inner* node) {
   // Both `parent` (or the root pointer implicitly) and `node` are
   // write-locked by the caller.
   Inner* right = new Inner();
-  const int mid = node->count / 2;
-  const uint64_t sep = node->keys[mid];
-  right->count = static_cast<uint16_t>(node->count - mid - 1);
-  for (int i = 0; i < right->count; i++) right->keys[i] = node->keys[mid + 1 + i];
-  for (int i = 0; i <= right->count; i++) right->children[i] = node->children[mid + 1 + i];
-  node->count = static_cast<uint16_t>(mid);
+  const int count = node->count.load();
+  const int mid = count / 2;
+  const uint64_t sep = node->keys[mid].load();
+  const int right_count = count - mid - 1;
+  for (int i = 0; i < right_count; i++) {
+    right->keys[i].store(node->keys[mid + 1 + i].load());
+  }
+  for (int i = 0; i <= right_count; i++) {
+    right->children[i].store(node->children[mid + 1 + i].load());
+  }
+  right->count.store(static_cast<uint16_t>(right_count));
+  node->count.store(static_cast<uint16_t>(mid));
   InsertIntoParentLocked(parent, sep, node, right);
 }
 
 void BTree::SplitLeaf(Inner* parent, Leaf* leaf) {
   Leaf* right = new Leaf();
-  const int mid = leaf->count / 2;
-  right->count = static_cast<uint16_t>(leaf->count - mid);
-  for (int i = 0; i < right->count; i++) {
-    right->keys[i] = leaf->keys[mid + i];
-    right->vals[i] = leaf->vals[mid + i];
+  const int count = leaf->count.load();
+  const int mid = count / 2;
+  const int right_count = count - mid;
+  for (int i = 0; i < right_count; i++) {
+    right->keys[i].store(leaf->keys[mid + i].load());
+    right->vals[i].store(leaf->vals[mid + i].load());
   }
-  leaf->count = static_cast<uint16_t>(mid);
+  right->count.store(static_cast<uint16_t>(right_count));
+  leaf->count.store(static_cast<uint16_t>(mid));
   right->next.store(leaf->next.load(std::memory_order_acquire),
                     std::memory_order_release);
   leaf->next.store(right, std::memory_order_release);
-  InsertIntoParentLocked(parent, right->keys[0], leaf, right);
+  InsertIntoParentLocked(parent, right->keys[0].load(), leaf, right);
 }
 
 Status BTree::Insert(uint64_t key, Row* row) {
@@ -100,7 +132,7 @@ Status BTree::Insert(uint64_t key, Row* row) {
 
     while (!node->is_leaf) {
       Inner* inner = static_cast<Inner*>(node);
-      if (inner->count == kInnerMax) {
+      if (inner->count.load() == kInnerMax) {
         // Eagerly split the full inner node while holding the parent lock.
         if (parent != nullptr && !parent->TryUpgradeLock(pv)) {
           restart = true;
@@ -124,7 +156,7 @@ Status BTree::Insert(uint64_t key, Row* row) {
         break;
       }
       const int idx = inner->ChildIndex(key);
-      Node* child = inner->children[idx];
+      Node* child = inner->children[idx].load();
       if (!inner->Validate(v)) { restart = true; break; }
       const uint64_t cv = child->StableVersion();
       if (!inner->Validate(v)) { restart = true; break; }
@@ -136,7 +168,7 @@ Status BTree::Insert(uint64_t key, Row* row) {
     if (restart) continue;
 
     Leaf* leaf = static_cast<Leaf*>(node);
-    if (leaf->count == kLeafMax) {
+    if (leaf->count.load() == kLeafMax) {
       if (parent != nullptr && !parent->TryUpgradeLock(pv)) continue;
       if (!leaf->TryUpgradeLock(v)) {
         if (parent != nullptr) parent->WriteUnlock();
@@ -153,18 +185,19 @@ Status BTree::Insert(uint64_t key, Row* row) {
     }
 
     if (!leaf->TryUpgradeLock(v)) continue;
+    const int count = leaf->count.load();
     const int slot = leaf->LowerBound(key);
-    if (slot < leaf->count && leaf->keys[slot] == key) {
+    if (slot < count && leaf->keys[slot].load() == key) {
       leaf->WriteUnlock();
       return Status::KeyExists();
     }
-    for (int i = leaf->count; i > slot; i--) {
-      leaf->keys[i] = leaf->keys[i - 1];
-      leaf->vals[i] = leaf->vals[i - 1];
+    for (int i = count; i > slot; i--) {
+      leaf->keys[i].store(leaf->keys[i - 1].load());
+      leaf->vals[i].store(leaf->vals[i - 1].load());
     }
-    leaf->keys[slot] = key;
-    leaf->vals[slot] = row;
-    leaf->count++;
+    leaf->keys[slot].store(key);
+    leaf->vals[slot].store(row);
+    leaf->count.store(static_cast<uint16_t>(count + 1));
     leaf->WriteUnlock();
     size_.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();
@@ -181,7 +214,7 @@ Row* BTree::Get(uint64_t key) const {
     while (!node->is_leaf) {
       Inner* inner = static_cast<Inner*>(node);
       const int idx = inner->ChildIndex(key);
-      Node* child = inner->children[idx];
+      Node* child = inner->children[idx].load();
       if (!inner->Validate(v)) { restart = true; break; }
       const uint64_t cv = child->StableVersion();
       if (!inner->Validate(v)) { restart = true; break; }
@@ -192,8 +225,10 @@ Row* BTree::Get(uint64_t key) const {
 
     Leaf* leaf = static_cast<Leaf*>(node);
     const int slot = leaf->LowerBound(key);
-    Row* result = (slot < leaf->count && leaf->keys[slot] == key) ? leaf->vals[slot]
-                                                                  : nullptr;
+    Row* result =
+        (slot < leaf->count.load() && leaf->keys[slot].load() == key)
+            ? leaf->vals[slot].load()
+            : nullptr;
     if (!leaf->Validate(v)) continue;
     return result;
   }
@@ -209,7 +244,7 @@ Status BTree::Remove(uint64_t key) {
     while (!node->is_leaf) {
       Inner* inner = static_cast<Inner*>(node);
       const int idx = inner->ChildIndex(key);
-      Node* child = inner->children[idx];
+      Node* child = inner->children[idx].load();
       if (!inner->Validate(v)) { restart = true; break; }
       const uint64_t cv = child->StableVersion();
       if (!inner->Validate(v)) { restart = true; break; }
@@ -220,16 +255,17 @@ Status BTree::Remove(uint64_t key) {
 
     Leaf* leaf = static_cast<Leaf*>(node);
     if (!leaf->TryUpgradeLock(v)) continue;
+    const int count = leaf->count.load();
     const int slot = leaf->LowerBound(key);
-    if (slot >= leaf->count || leaf->keys[slot] != key) {
+    if (slot >= count || leaf->keys[slot].load() != key) {
       leaf->WriteUnlock();
       return Status::NotFound();
     }
-    for (int i = slot; i + 1 < leaf->count; i++) {
-      leaf->keys[i] = leaf->keys[i + 1];
-      leaf->vals[i] = leaf->vals[i + 1];
+    for (int i = slot; i + 1 < count; i++) {
+      leaf->keys[i].store(leaf->keys[i + 1].load());
+      leaf->vals[i].store(leaf->vals[i + 1].load());
     }
-    leaf->count--;
+    leaf->count.store(static_cast<uint16_t>(count - 1));
     leaf->WriteUnlock();
     size_.fetch_sub(1, std::memory_order_relaxed);
     return Status::Ok();
@@ -253,7 +289,7 @@ void BTree::ScanImpl(uint64_t start_key, uint64_t end_key, bool bounded,
     while (!node->is_leaf) {
       Inner* inner = static_cast<Inner*>(node);
       const int idx = inner->ChildIndex(cursor);
-      Node* child = inner->children[idx];
+      Node* child = inner->children[idx].load();
       if (!inner->Validate(v)) goto descend;
       const uint64_t cv = child->StableVersion();
       if (!inner->Validate(v)) goto descend;
@@ -264,16 +300,17 @@ void BTree::ScanImpl(uint64_t start_key, uint64_t end_key, bool bounded,
     Leaf* leaf = static_cast<Leaf*>(node);
     while (true) {
       int n = 0;
+      const int count = leaf->count.load();
       const int start = leaf->LowerBound(cursor);
-      for (int i = start; i < leaf->count; i++) {
-        if (bounded && leaf->keys[i] >= end_key) break;
-        snap_keys[n] = leaf->keys[i];
-        snap_vals[n] = leaf->vals[i];
+      for (int i = start; i < count; i++) {
+        const uint64_t k = leaf->keys[i].load();
+        if (bounded && k >= end_key) break;
+        snap_keys[n] = k;
+        snap_vals[n] = leaf->vals[i].load();
         n++;
       }
-      const bool past_end =
-          bounded && leaf->count > 0 && start < leaf->count &&
-          leaf->keys[leaf->count - 1] >= end_key;
+      const bool past_end = bounded && count > 0 && start < count &&
+                            leaf->keys[count - 1].load() >= end_key;
       Leaf* next = leaf->next.load(std::memory_order_acquire);
       if (!leaf->Validate(v)) goto descend;  // re-traverse from `cursor`
 
@@ -305,7 +342,7 @@ int BTree::Height() const {
   int h = 1;
   const Node* node = root_.load(std::memory_order_acquire);
   while (!node->is_leaf) {
-    node = static_cast<const Inner*>(node)->children[0];
+    node = static_cast<const Inner*>(node)->children[0].load();
     h++;
   }
   return h;
@@ -316,26 +353,30 @@ bool BTree::CheckNode(const Node* node, uint64_t lo, bool has_hi, uint64_t hi,
   if (node->is_leaf) {
     if (depth != leaf_depth) return false;
     const Leaf* leaf = static_cast<const Leaf*>(node);
-    for (int i = 0; i < leaf->count; i++) {
-      if (i > 0 && leaf->keys[i - 1] >= leaf->keys[i]) return false;
-      if (leaf->keys[i] < lo) return false;
-      if (has_hi && leaf->keys[i] >= hi) return false;
+    const int count = leaf->count.load();
+    for (int i = 0; i < count; i++) {
+      const uint64_t k = leaf->keys[i].load();
+      if (i > 0 && leaf->keys[i - 1].load() >= k) return false;
+      if (k < lo) return false;
+      if (has_hi && k >= hi) return false;
     }
     return true;
   }
   const Inner* inner = static_cast<const Inner*>(node);
-  if (inner->count == 0) return false;
-  for (int i = 0; i < inner->count; i++) {
-    if (i > 0 && inner->keys[i - 1] >= inner->keys[i]) return false;
-    if (inner->keys[i] < lo) return false;
-    if (has_hi && inner->keys[i] > hi) return false;
+  const int count = inner->count.load();
+  if (count == 0) return false;
+  for (int i = 0; i < count; i++) {
+    const uint64_t k = inner->keys[i].load();
+    if (i > 0 && inner->keys[i - 1].load() >= k) return false;
+    if (k < lo) return false;
+    if (has_hi && k > hi) return false;
   }
-  for (int i = 0; i <= inner->count; i++) {
-    const uint64_t child_lo = (i == 0) ? lo : inner->keys[i - 1];
-    const bool child_has_hi = (i < inner->count) || has_hi;
-    const uint64_t child_hi = (i < inner->count) ? inner->keys[i] : hi;
-    if (!CheckNode(inner->children[i], child_lo, child_has_hi, child_hi, depth + 1,
-                   leaf_depth)) {
+  for (int i = 0; i <= count; i++) {
+    const uint64_t child_lo = (i == 0) ? lo : inner->keys[i - 1].load();
+    const bool child_has_hi = (i < count) || has_hi;
+    const uint64_t child_hi = (i < count) ? inner->keys[i].load() : hi;
+    if (!CheckNode(inner->children[i].load(), child_lo, child_has_hi, child_hi,
+                   depth + 1, leaf_depth)) {
       return false;
     }
   }
@@ -349,15 +390,18 @@ bool BTree::CheckInvariants() const {
 
   // Leaf chain must be globally sorted and cover exactly `size_` keys.
   const Node* node = root;
-  while (!node->is_leaf) node = static_cast<const Inner*>(node)->children[0];
+  while (!node->is_leaf) {
+    node = static_cast<const Inner*>(node)->children[0].load();
+  }
   const Leaf* leaf = static_cast<const Leaf*>(node);
   uint64_t prev = 0;
   bool first = true;
   uint64_t total = 0;
   while (leaf != nullptr) {
-    for (int i = 0; i < leaf->count; i++) {
-      if (!first && leaf->keys[i] <= prev) return false;
-      prev = leaf->keys[i];
+    for (int i = 0; i < leaf->count.load(); i++) {
+      const uint64_t k = leaf->keys[i].load();
+      if (!first && k <= prev) return false;
+      prev = k;
       first = false;
       total++;
     }

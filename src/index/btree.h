@@ -20,6 +20,13 @@ constexpr int kLeafMax = 64;   ///< max entries per leaf
 /// modifying writer, so optimistic readers detect concurrent modification
 /// and restart.
 ///
+/// The latch is a seqlock, so it follows Boehm's recipe ("Can Seqlocks Get
+/// Along with Programming Language Memory Models?", MSPC 2012): every node
+/// field a reader loads without the latch is a relaxed atomic on both sides
+/// (RelaxedAtomic), CheckOrRestart puts an acquire fence before it re-reads
+/// the version, and taking the write lock puts a release fence before the
+/// writer's first store. On x86 both fences only constrain the compiler.
+///
 ///   uint64_t v = latch.ReadLockOrRestart();      // reader: stable snapshot
 ///   ... read node ...
 ///   if (!latch.CheckOrRestart(v)) restart;
@@ -45,17 +52,25 @@ class VersionLatch {
   }
 
   /// A locked word never equals an unlocked snapshot, so the full-word
-  /// compare rejects both a version change and a held lock.
+  /// compare rejects both a version change and a held lock. The fence keeps
+  /// the reader's relaxed field loads ahead of the version re-read.
   bool CheckOrRestart(uint64_t expected) const {
-    return word_.load(std::memory_order_acquire) == expected;
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return word_.load(std::memory_order_relaxed) == expected;
   }
 
   /// Atomically upgrade a read snapshot to the write lock; false when the
   /// version moved or the latch is held (the caller restarts).
   bool UpgradeToWriteLockOrRestart(uint64_t expected) {
-    return word_.compare_exchange_strong(expected, expected | kLockedBit,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire);
+    if (!word_.compare_exchange_strong(expected, expected | kLockedBit,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+      return false;
+    }
+    // A reader that loads any store the lock holder makes from here on also
+    // sees the lock bit when it re-checks, and restarts.
+    std::atomic_thread_fence(std::memory_order_release);
+    return true;
   }
 
   /// Unconditional write lock.
@@ -76,13 +91,27 @@ class VersionLatch {
   std::atomic<uint64_t> word_{0};
 };
 
+/// A node field that optimistic readers load while a latched writer stores
+/// it. Relaxed on both sides, so each access stays a plain move on x86; the
+/// VersionLatch fences order them.
+template <typename T>
+class RelaxedAtomic {
+ public:
+  T load() const { return v_.load(std::memory_order_relaxed); }
+  void store(T v) { v_.store(v, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<T> v_{};
+};
+
 /// Node header with an optimistic version latch. Cache-line aligned so the
 /// latch word of one hot node never false-shares with a sibling allocation;
-/// keys/children start on the next line.
+/// keys/children start on the next line. `is_leaf` is set before the node is
+/// published and never changes.
 struct alignas(kCacheLineSize) Node {
   VersionLatch latch;
   bool is_leaf = false;
-  uint16_t count = 0;
+  RelaxedAtomic<uint16_t> count;
 
   /// Returns a stable (unlocked) version snapshot, waiting out writers.
   uint64_t StableVersion() const { return latch.ReadLockOrRestart(); }
@@ -105,8 +134,8 @@ static_assert(alignof(Node) == kCacheLineSize,
               "hot latch words must not straddle or share cache lines");
 
 struct Inner : Node {
-  uint64_t keys[kInnerMax];
-  Node* children[kInnerMax + 1];
+  RelaxedAtomic<uint64_t> keys[kInnerMax];
+  RelaxedAtomic<Node*> children[kInnerMax + 1];
 
   Inner() { is_leaf = false; }
   /// Child index to descend into for `key` (first i with key < keys[i]).
@@ -114,8 +143,8 @@ struct Inner : Node {
 };
 
 struct Leaf : Node {
-  uint64_t keys[kLeafMax];
-  Row* vals[kLeafMax];
+  RelaxedAtomic<uint64_t> keys[kLeafMax];
+  RelaxedAtomic<Row*> vals[kLeafMax];
   std::atomic<Leaf*> next{nullptr};
 
   Leaf() { is_leaf = true; }

@@ -203,9 +203,6 @@ void EmitEvent(W& w, const TraceEvent& e, uint64_t base_ns, bool* first) {
              AbortReasonName(
                  static_cast<AbortReason>(SloDetailReason(e.detail))));
       break;
-    case EventType::kRangePublish:
-    case EventType::kRangeSplit:
-    case EventType::kRangeMerge:
     case EventType::kGateEnter:
     case EventType::kGateExit:
     default:

@@ -27,9 +27,6 @@ const char* EventTypeName(EventType t) {
     case EventType::kTxnCommit: return "txn_commit";
     case EventType::kTxnAbort: return "txn_abort";
     case EventType::kSpan: return "span";
-    case EventType::kRangePublish: return "range_publish";
-    case EventType::kRangeSplit: return "range_split";
-    case EventType::kRangeMerge: return "range_merge";
     case EventType::kWalFlush: return "wal_flush";
     case EventType::kGateEnter: return "gate_enter";
     case EventType::kGateExit: return "gate_exit";
@@ -37,7 +34,6 @@ const char* EventTypeName(EventType t) {
     case EventType::kVersionGc: return "version_gc";
     case EventType::kSnapshotScan: return "snapshot_scan";
     case EventType::kSnapshotEvict: return "snapshot_evict";
-    case EventType::kRingResize: return "ring_resize";
     case EventType::kStall: return "stall";
     case EventType::kSloViolation: return "slo_violation";
   }
@@ -80,8 +76,9 @@ FlightRecorder::FlightRecorder(ObsOptions options)
   sample_knob_ = KnobRegistry::Instance().Register("obs_sample_period",
                                                    options_.sample_period);
   slo_knob_ = KnobRegistry::Instance().Register("obs_slo_us", options_.slo_us);
-  // The service ring is shared by rare control-plane emitters (tuner passes,
-  // the WAL flusher); allocate it eagerly so EmitService never races an Init.
+  // The service ring is shared by rare control-plane emitters (the WAL
+  // flusher, snapshot eviction); allocate it eagerly so EmitService never
+  // races an Init.
   service_.Init(options_.ring_capacity);
 }
 

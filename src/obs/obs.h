@@ -36,9 +36,6 @@ enum class EventType : uint8_t {
   kTxnAbort,      ///< attempt aborted; detail = AbortReason, a = txn id,
                   ///< b = conflicting range id (kNoRange when not a scan abort)
   kSpan,          ///< phase span; detail = Phase, dur_ns = length
-  kRangePublish,  ///< range table published; a = new version, b = num ranges
-  kRangeSplit,    ///< a = parent range id, b = children created
-  kRangeMerge,    ///< a = first merged range id, b = ranges merged
   kWalFlush,      ///< group-commit batch; a = bytes written, b = epoch
   kGateEnter,     ///< protected-retry gate acquired; a = holder thread id
   kGateExit,      ///< protected-retry gate released; a = holder thread id
@@ -47,8 +44,6 @@ enum class EventType : uint8_t {
   kSnapshotScan,  ///< snapshot scan finished; a = records, b = chain reads
   kSnapshotEvict, ///< pinned snapshot evicted under prune pressure;
                   ///< tid = victim thread, a = evicted snapshot ts
-  kRingResize,    ///< adaptive ring capacity change; a = range id,
-                  ///< b = new slot count
   kStall,         ///< watchdog: worker stuck in one phase past threshold;
                   ///< detail = Phase, a = worker id, b = stall millis
   kSloViolation,  ///< attempt latency exceeded --obs-slo-us; detail packs
@@ -234,7 +229,7 @@ class FlightRecorder {
   }
 
   /// Append a rare control-plane event to the latched service ring; callable
-  /// from any thread (tuner passes, the WAL flusher).
+  /// from any thread (the WAL flusher, snapshot eviction, the watchdog).
   void EmitService(EventType type, uint8_t detail, uint64_t ts_ns,
                    uint64_t dur_ns, uint64_t a, uint32_t b);
 

@@ -331,18 +331,6 @@ void PrometheusStreamer::AccountLocked(const TraceEvent& e) {
       counters_.wal_flushes++;
       counters_.wal_flush_bytes += e.a;
       break;
-    case EventType::kRangePublish:
-      counters_.range_publishes++;
-      break;
-    case EventType::kRangeSplit:
-      counters_.range_splits++;
-      break;
-    case EventType::kRangeMerge:
-      counters_.range_merges++;
-      break;
-    case EventType::kRingResize:
-      counters_.ring_resizes++;
-      break;
     case EventType::kVersionGc:
       counters_.version_gc_passes++;
       counters_.version_gc_nodes += e.a;
@@ -381,15 +369,6 @@ void PrometheusStreamer::RenderLocked(std::string* outp) {
   Counter(&out, "rocc_stream_wal_flush_bytes_total",
           "Bytes written across group-commit batches", options_.labels,
           c.wal_flush_bytes);
-  Counter(&out, "rocc_stream_range_publishes_total",
-          "Range-table versions published", options_.labels,
-          c.range_publishes);
-  Counter(&out, "rocc_stream_range_splits_total", "Range split operations",
-          options_.labels, c.range_splits);
-  Counter(&out, "rocc_stream_range_merges_total", "Range merge operations",
-          options_.labels, c.range_merges);
-  Counter(&out, "rocc_stream_ring_resizes_total",
-          "Adaptive ring-capacity changes", options_.labels, c.ring_resizes);
   Counter(&out, "rocc_stream_version_gc_passes_total",
           "Version reclaim passes that freed nodes", options_.labels,
           c.version_gc_passes);

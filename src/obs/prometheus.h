@@ -43,18 +43,14 @@ void AppendMvGauges(std::string* out, const MvGauges& g,
                     const std::string& labels);
 
 /// Counters the streamer derives from the trace rings. Control-plane events
-/// (WAL flushes, range-table changes) are always recorded while the flight
-/// recorder is on, so those counts are exact; per-transaction events
-/// (version installs, snapshot scans) ride the 1/N sampling decision and the
-/// derived counters are sampled approximations — the authoritative rates for
-/// those live in TxnStats.
+/// (WAL flushes, version GC passes, snapshot evictions) are always recorded
+/// while the flight recorder is on, so those counts are exact; per-transaction
+/// events (version installs, snapshot scans) ride the 1/N sampling decision
+/// and the derived counters are sampled approximations — the authoritative
+/// rates for those live in TxnStats.
 struct StreamCounters {
   uint64_t wal_flushes = 0;       ///< group-commit batches (exact)
   uint64_t wal_flush_bytes = 0;   ///< bytes across those batches (exact)
-  uint64_t range_publishes = 0;   ///< range-table versions published (exact)
-  uint64_t range_splits = 0;      ///< split operations (exact)
-  uint64_t range_merges = 0;      ///< merge operations (exact)
-  uint64_t ring_resizes = 0;      ///< adaptive ring-capacity changes (exact)
   uint64_t version_gc_passes = 0;  ///< reclaim passes that freed nodes (exact)
   uint64_t version_gc_nodes = 0;   ///< version nodes freed by those passes
   uint64_t version_installs = 0;   ///< commits that linked pre-images (sampled)

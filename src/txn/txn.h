@@ -57,40 +57,18 @@ struct ScanEntry {
   uint32_t num_records;
 };
 
-class TxnRing;
-struct LogicalRange;
-
 /// Range predicate exactly as in paper §III-B:
 /// {rangeID, rd_ts, start_key, end_key, cover}.
 ///
 /// GWV reuses the same structure with range_id 0 against its single global
 /// list; MVRCC drops the key precision (cover forced true).
-///
-/// With the adaptive range table (DESIGN.md §10) a predicate additionally
-/// snapshots the table version, the logical range it was built against, and
-/// the range's predecessor rings: after a split/merge the child range's
-/// fresh ring starts empty, so writers that registered in the replaced
-/// range's ring during the transition window are only visible through the
-/// predecessor snapshots. ROCC fills these; GWV leaves the defaults.
 struct RangePredicate {
-  /// Predecessor rings a range can carry (= the merge fan-in bound).
-  static constexpr uint32_t kMaxPrevRings = 4;
-
   uint32_t table_id;
   uint32_t range_id;
-  uint64_t rd_ts;      ///< primary ring version observed before scanning
+  uint64_t rd_ts;      ///< range version observed before scanning
   uint64_t start_key;  ///< precise scanned scope, inclusive
   uint64_t end_key;    ///< exclusive
   bool cover;          ///< predicate fully covers the logical range
-
-  uint64_t table_version = 0;    ///< range-table version at snapshot time
-  TxnRing* ring = nullptr;       ///< primary ring (rd_ts belongs to it)
-  LogicalRange* range = nullptr; ///< snapshot range (bounds + attribution)
-  uint32_t num_prev = 0;
-  struct PrevRing {
-    TxnRing* ring;
-    uint64_t rd_ts;
-  } prev[kMaxPrevRings];         ///< version-fenced predecessor snapshots
 };
 
 /// A key this transaction has a live pending insert for; kept sorted by
@@ -268,10 +246,8 @@ class TxnDescriptor {
   std::vector<RangePredicate> predicates;
   std::vector<char> write_buf;  ///< after-images referenced by write_set
 
-  /// Rings this transaction registered to, as sorted ring-pointer tags (for
-  /// once-per-ring dedup in O(log R)). Keyed on the ring rather than the
-  /// range id because the adaptive range table can remap a key to a fresh
-  /// ring mid-commit; the registration invariant is one entry per ring.
+  /// Ranges this transaction registered to, as sorted (table_id << 32 |
+  /// range_id) tags, for once-per-range dedup in O(log R).
   std::vector<uint64_t> registered_ranges;
 
   /// Live pending inserts, sorted by (table_id, key).

@@ -212,7 +212,7 @@ TEST(HttpServer, TraceCapturesBoundedWindow) {
 
   // /trace renders only events arriving AFTER the request: this pre-window
   // event must not appear.
-  rec.EmitService(obs::EventType::kRangeSplit, 0, 10, 0, 999, 2);
+  rec.EmitService(obs::EventType::kSnapshotEvict, 0, 10, 0, 999, 2);
 
   std::atomic<bool> stop{false};
   std::thread emitter([&rec, &stop] {
@@ -231,7 +231,7 @@ TEST(HttpServer, TraceCapturesBoundedWindow) {
   const std::string json = BodyOf(response);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("wal_flush"), std::string::npos);
-  EXPECT_EQ(json.find("range_split"), std::string::npos);
+  EXPECT_EQ(json.find("snapshot_evict"), std::string::npos);
   ExpectBalancedJson(json);
   obs::SetRecorder(prev);
   server.Stop();
@@ -455,7 +455,7 @@ TEST(SignalDump, DrainerDefersHandlerToFlagStore) {
   oo.max_workers = 2;
   obs::FlightRecorder rec(oo);
   obs::FlightRecorder* prev = obs::SetRecorder(&rec);
-  rec.EmitService(obs::EventType::kRangePublish, 0, 100, 0, 2, 8);
+  rec.EmitService(obs::EventType::kSnapshotEvict, 0, 100, 0, 2, 8);
   const std::string path = ::testing::TempDir() + "/sigusr1_deferred.json";
   std::remove(path.c_str());
   obs::InstallSignalDump(path);
@@ -473,7 +473,7 @@ TEST(SignalDump, DrainerDefersHandlerToFlagStore) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("range_publish"), std::string::npos);
+  EXPECT_NE(buf.str().find("snapshot_evict"), std::string::npos);
   ExpectBalancedJson(buf.str());
   std::remove(path.c_str());
   obs::SetRecorder(prev);

@@ -603,7 +603,7 @@ TEST(PrometheusStreamer, DrainsRingsIncrementallyAndCountsDrops) {
   rec.BeginTxn(0, 100, 1);
   rec.Emit(0, obs::EventType::kVersionGc, 0, 120, 0, /*nodes=*/5, 0);
   rec.EmitService(obs::EventType::kWalFlush, 0, 100, 10, /*bytes=*/4096, 1);
-  rec.EmitService(obs::EventType::kRangePublish, 0, 110, 0, 2, 8);
+  rec.EmitService(obs::EventType::kSnapshotEvict, 0, 110, 0, /*ts=*/2, 0);
 
   const std::string path =
       std::string(::testing::TempDir()) + "/rocc_prom_stream_test.prom";
@@ -616,7 +616,7 @@ TEST(PrometheusStreamer, DrainsRingsIncrementallyAndCountsDrops) {
   obs::StreamCounters c = streamer.counters();
   EXPECT_EQ(c.wal_flushes, 1u);
   EXPECT_EQ(c.wal_flush_bytes, 4096u);
-  EXPECT_EQ(c.range_publishes, 1u);
+  EXPECT_EQ(c.snapshot_evictions, 1u);
   EXPECT_EQ(c.version_gc_passes, 1u);
   EXPECT_EQ(c.version_gc_nodes, 5u);
   EXPECT_EQ(c.events_dropped, 0u);
@@ -627,7 +627,7 @@ TEST(PrometheusStreamer, DrainsRingsIncrementallyAndCountsDrops) {
   c = streamer.counters();
   EXPECT_EQ(c.wal_flushes, 2u);
   EXPECT_EQ(c.wal_flush_bytes, 5096u);
-  EXPECT_EQ(c.range_publishes, 1u);
+  EXPECT_EQ(c.snapshot_evictions, 1u);
 
   // Stats snapshot and mv gauges are embedded in the rewrite.
   TxnStats stats;
@@ -651,11 +651,11 @@ TEST(PrometheusStreamer, DrainsRingsIncrementallyAndCountsDrops) {
   // Overrun between collections: a capacity-8 ring fed 20 events keeps the
   // newest 8; the other 12 must be counted as dropped, not silently lost.
   for (int i = 0; i < 20; i++) {
-    rec.EmitService(obs::EventType::kRangeSplit, 0, 300 + i, 0, 1, 1);
+    rec.EmitService(obs::EventType::kSnapshotEvict, 0, 300 + i, 0, 1, 0);
   }
   ASSERT_TRUE(streamer.CollectOnce());
   c = streamer.counters();
-  EXPECT_EQ(c.range_splits, 8u);
+  EXPECT_EQ(c.snapshot_evictions, 1u + 8u);
   EXPECT_EQ(c.events_dropped, 12u);
   std::remove(path.c_str());
 }

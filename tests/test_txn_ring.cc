@@ -233,54 +233,6 @@ TEST(TxnRingConcurrency, WrapPressureNeverServesWrongRegistrant) {
 }
 
 // --------------------------------------------------------------------------
-// Seeded base (adaptive resize replacement rings)
-// --------------------------------------------------------------------------
-
-TEST(TxnRingBase, SeededRingContinuesSequence) {
-  TxnRing ring(8, /*base=*/100);
-  EXPECT_EQ(ring.Version(), 100u);
-  EXPECT_EQ(ring.base(), 100u);
-  TxnDescriptor t;
-  EXPECT_EQ(ring.Register(&t), 101u);
-  EXPECT_EQ(ring.Version(), 101u);
-  EXPECT_EQ(ring.Get(101), &t);
-}
-
-TEST(TxnRingBase, PredecessorSequencesAreUnknown) {
-  TxnRing ring(8, /*base=*/100);
-  TxnDescriptor t;
-  ring.Register(&t);  // seq 101, slot 101 % 8 = 5
-  // Every sequence at or below base belongs to the retired predecessor ring;
-  // in particular seq 5 aliases slot 5 and must NOT resolve to seq 101's
-  // registrant.
-  EXPECT_EQ(ring.Get(100), nullptr);
-  EXPECT_EQ(ring.Get(5), nullptr);
-  EXPECT_EQ(ring.Get(1), nullptr);
-}
-
-TEST(TxnRingBase, WrapWindowOnSeededRing) {
-  // Tag checks must hold on a seeded ring exactly as on a fresh one: after
-  // wrapping, the visible window is the last `capacity` sequences and
-  // nothing below base ever leaks through a slot alias.
-  constexpr uint32_t kCap = 4;
-  constexpr uint64_t kBase = 37;  // deliberately not slot-aligned
-  TxnRing ring(kCap, kBase);
-  std::vector<TxnDescriptor> descs(3 * kCap);
-  for (uint64_t i = 0; i < descs.size(); i++) {
-    ASSERT_EQ(ring.Register(&descs[i]), kBase + i + 1);
-    const uint64_t version = ring.Version();
-    const uint64_t lo = version - kBase > kCap ? version - kCap + 1 : kBase + 1;
-    for (uint64_t seq = 1; seq <= version; seq++) {
-      if (seq >= lo) {
-        ASSERT_EQ(ring.Get(seq), &descs[seq - kBase - 1]) << "live seq " << seq;
-      } else {
-        ASSERT_EQ(ring.Get(seq), nullptr) << "stale/predecessor seq " << seq;
-      }
-    }
-  }
-}
-
-// --------------------------------------------------------------------------
 // RangeManager
 // --------------------------------------------------------------------------
 
@@ -341,98 +293,6 @@ TEST(RangeManager, RingsAreIndependent) {
   EXPECT_EQ(rm.ring(1).Version(), 0u);
   EXPECT_EQ(rm.ring(2).Version(), 1u);
   EXPECT_EQ(rm.ring(3).Version(), 0u);
-}
-
-// --------------------------------------------------------------------------
-// RangeManager::Resize — old-ring / new-ring transition
-// --------------------------------------------------------------------------
-
-TEST(RangeManagerResize, SeqContinuityAcrossReplacement) {
-  RangeManager rm(0, 1000, 4, 8);
-  TxnDescriptor a, b;
-  std::shared_ptr<TxnRing> old_ring = rm.Snapshot()->ranges[1]->ring;
-  for (int i = 0; i < 5; i++) rm.ring(1).Register(&a);
-  ASSERT_TRUE(rm.Resize(1, 32, /*publish_epoch=*/1));
-
-  LogicalRange* lr = rm.Snapshot()->range(1);
-  ASSERT_NE(lr->ring.get(), old_ring.get());
-  EXPECT_EQ(lr->ring->capacity(), 32u);
-  // The replacement is seeded at the retired ring's version: the range
-  // version is continuous across the swap and sequence spaces never overlap.
-  EXPECT_EQ(lr->ring->base(), 5u);
-  EXPECT_EQ(lr->ring->Version(), 5u);
-  EXPECT_EQ(lr->ring->Register(&b), 6u);
-  EXPECT_EQ(lr->ring->Get(6), &b);
-  // Sequences issued by the predecessor resolve there (it is fenced via
-  // prev_rings for in-flight predicates), never in the replacement.
-  ASSERT_EQ(lr->prev_rings.size(), 1u);
-  EXPECT_EQ(lr->prev_rings[0].get(), old_ring.get());
-  EXPECT_EQ(old_ring->Get(5), &a);
-  EXPECT_EQ(lr->ring->Get(5), nullptr);
-  // Counters carried; per-range resize count bumped.
-  EXPECT_EQ(lr->stats.ring_resizes.load(std::memory_order_relaxed), 1u);
-  EXPECT_EQ(rm.resizes(), 1u);
-  // Layout untouched: same boundaries, same number of ranges.
-  EXPECT_EQ(rm.num_ranges(), 4u);
-  EXPECT_EQ(lr->start_key, 250u);
-  EXPECT_EQ(lr->end_key, 500u);
-}
-
-TEST(RangeManagerResize, RetiredTableReclaimedAfterGrace) {
-  RangeManager rm(0, 1000, 2, 8);
-  TxnDescriptor a;
-  std::shared_ptr<TxnRing> old_ring = rm.Snapshot()->ranges[0]->ring;
-  rm.ring(0).Register(&a);
-  ASSERT_TRUE(rm.Resize(0, 16, /*publish_epoch=*/3));
-  EXPECT_EQ(rm.retired_tables(), 1u);
-  rm.ReclaimRetired(/*min_active=*/3);  // grace not elapsed
-  EXPECT_EQ(rm.retired_tables(), 1u);
-  rm.ReclaimRetired(/*min_active=*/4);
-  EXPECT_EQ(rm.retired_tables(), 0u);
-  // The old ring survives reclamation of the table: the replacement range
-  // still fences it through prev_rings (plus our local reference).
-  EXPECT_EQ(old_ring->Get(1), &a);
-}
-
-TEST(RangeManagerResize, RejectsNoopAndBadArguments) {
-  RangeManager rm(0, 1000, 2, 8);
-  EXPECT_FALSE(rm.Resize(0, 8, 1));   // same capacity: nothing to do
-  EXPECT_FALSE(rm.Resize(0, 0, 1));   // zero-capacity ring is invalid
-  EXPECT_FALSE(rm.Resize(7, 16, 1));  // no such range
-  EXPECT_EQ(rm.resizes(), 0u);
-  EXPECT_EQ(rm.retired_tables(), 0u);
-}
-
-TEST(RangeManagerResize, ShrinkKeepsContinuityToo) {
-  RangeManager rm(0, 1000, 2, 32);
-  TxnDescriptor a, b;
-  for (int i = 0; i < 10; i++) rm.ring(0).Register(&a);
-  ASSERT_TRUE(rm.Resize(0, 8, /*publish_epoch=*/1));
-  LogicalRange* lr = rm.Snapshot()->range(0);
-  EXPECT_EQ(lr->ring->capacity(), 8u);
-  EXPECT_EQ(lr->ring->base(), 10u);
-  EXPECT_EQ(lr->ring->Register(&b), 11u);
-  EXPECT_EQ(lr->ring->Get(11), &b);
-}
-
-TEST(RangeManagerResize, SecondResizeAfterGraceCollapsesFence) {
-  // Resize the same range twice: each replacement fences only its immediate
-  // predecessor (one generation, like Split), so the grandparent ring is
-  // released once the second swap publishes.
-  RangeManager rm(0, 1000, 2, 8);
-  TxnDescriptor a;
-  std::shared_ptr<TxnRing> gen0 = rm.Snapshot()->ranges[0]->ring;
-  rm.ring(0).Register(&a);
-  ASSERT_TRUE(rm.Resize(0, 16, /*publish_epoch=*/1));
-  std::shared_ptr<TxnRing> gen1 = rm.Snapshot()->ranges[0]->ring;
-  ASSERT_TRUE(rm.Resize(0, 32, /*publish_epoch=*/2));
-  LogicalRange* lr = rm.Snapshot()->range(0);
-  ASSERT_EQ(lr->prev_rings.size(), 1u);
-  EXPECT_EQ(lr->prev_rings[0].get(), gen1.get());
-  EXPECT_EQ(lr->ring->base(), 1u);
-  EXPECT_EQ(lr->stats.ring_resizes.load(std::memory_order_relaxed), 2u);
-  EXPECT_EQ(rm.resizes(), 2u);
-  EXPECT_EQ(gen0->Get(1), &a);  // still alive through our local reference
 }
 
 // --------------------------------------------------------------------------
